@@ -34,7 +34,7 @@ def test_algorithm2_kernel_batch16(benchmark):
     """Wall-clock of a real batched Algorithm-2 call (batch 16)."""
     device = GPUDevice(TESLA_P100)
     refs = _batch(16)
-    query = refs[0].copy()
+    query = refs[:1].copy()  # a group of one query
     benchmark.pedantic(
         knn_algorithm2, args=(device, refs, query),
         kwargs=dict(scale=0.25, precision="fp16"),
@@ -46,7 +46,7 @@ def test_algorithm2_kernel_batch1(benchmark):
     """Wall-clock of the unbatched Algorithm-2 call, for contrast."""
     device = GPUDevice(TESLA_P100)
     refs = _batch(1)
-    query = refs[0].copy()
+    query = refs[:1].copy()
     benchmark.pedantic(
         knn_algorithm2, args=(device, refs, query),
         kwargs=dict(scale=0.25, precision="fp16"),

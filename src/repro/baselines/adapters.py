@@ -59,7 +59,6 @@ class OpenCVKernel(MatchKernel):
 
     name = "opencv"
     needs_norms = False
-    supports_multiquery = False
 
     def describe(self) -> str:
         return "(OpenCV CUDA)"
@@ -80,11 +79,11 @@ class OpenCVKernel(MatchKernel):
         descriptors = self._check_descriptors(descriptors)
         return pad_or_trim(descriptors, self.config.n)
 
-    def match_batch(self, device, batch, query, keep_masks=False):
+    def match_query(self, device, batch, matrix, aux, keep_masks, survivors):
         cfg = self.config
         matches = []
         for i in range(batch.size):
-            knn = opencv_knn_match(device, batch.tensor[i], query.matrix, k=cfg.k)
+            knn = opencv_knn_match(device, batch.tensor[i], matrix, k=cfg.k)
             device.cpu_postprocess(1, "fp32", cfg.n)
             matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))
         return matches
@@ -107,7 +106,6 @@ class LshKernel(MatchKernel):
 
     name = "lsh"
     needs_norms = False
-    supports_multiquery = False
 
     def __init__(self, config, n_bits: int = 256, n_candidates: int = 16, seed: int = 0) -> None:
         super().__init__(config)
@@ -145,9 +143,11 @@ class LshKernel(MatchKernel):
         descriptors = self._check_descriptors(descriptors)
         return pad_or_trim(descriptors, self.config.n)
 
-    def prepare_query(self, device, descriptors):
-        matrix = self.query_matrix(descriptors)
-        return PreparedQuery(matrix=matrix, aux=self.codec.encode(matrix))
+    def prepare_query(self, device, descriptor_list):
+        prepared = super().prepare_query(device, descriptor_list)
+        return PreparedQuery(
+            matrix=prepared.matrix, aux=[self.codec.encode(q) for q in prepared.matrix]
+        )
 
     def _codes_for(self, batch, index: int) -> np.ndarray:
         key = (batch.batch_id, index)
@@ -159,10 +159,9 @@ class LshKernel(MatchKernel):
             self._ref_codes[key] = codes
         return codes
 
-    def match_batch(self, device, batch, query, keep_masks=False):
+    def match_query(self, device, batch, matrix, aux, keep_masks, survivors):
         cfg = self.config
-        q = query.matrix
-        q_codes = query.aux if query.aux is not None else self.codec.encode(q)
+        q, q_codes = matrix, aux
         n = q.shape[1]
         matches = []
         for i in range(batch.size):

@@ -77,7 +77,7 @@ def run(
                 model=model, seed=seed,
             )
             engine = TextureSearchEngine(
-                EngineConfig(m=m, n=n, precision="fp16", use_rootsift=True,
+                EngineConfig(m=m, n=n, precision="fp16", backend="algorithm2",
                              batch_size=min(batch, n_bricks), scale_factor=0.25),
                 device=GPUDevice(spec),
             )

@@ -9,12 +9,7 @@ from .config import DEFAULT_SCALE_FACTOR, EngineConfig
 from .engine import EngineStats, TextureSearchEngine
 from .identification import IdentificationDecision, IdentificationPipeline
 from .kernels import MatchKernel, PreparedQuery
-from .query_batching import (
-    MultiQueryResult,
-    QueryBatchPoint,
-    knn_algorithm2_multiquery,
-    query_batch_tradeoff,
-)
+from .query_batching import QueryBatchPoint, query_batch_tradeoff
 from .ratio_test import (
     batch_ratio_test_masks,
     good_match_count,
@@ -41,7 +36,6 @@ __all__ = [
     "ImageMatch",
     "KnnResult",
     "MatchKernel",
-    "MultiQueryResult",
     "PreparedFeatures",
     "PreparedQuery",
     "QueryBatchPoint",
@@ -56,7 +50,6 @@ __all__ = [
     "insertion_topk",
     "knn_algorithm1",
     "knn_algorithm2",
-    "knn_algorithm2_multiquery",
     "match_images",
     "match_images_batch",
     "query_batch_tradeoff",

@@ -43,11 +43,9 @@ import numpy as np
 
 from ..features.binarize import hamming_distances, pack_bits, sign_planes, words_for_bits
 from ..gpusim.engine_model import GPUDevice
-from .algorithm1 import PreparedFeatures, knn_algorithm1
+from .algorithm1 import PreparedFeatures
 from .batching import ReferenceBatch
 from .kernels import Algorithm1Kernel, PreparedQuery
-from .ratio_test import match_images
-from .results import ImageMatch
 
 __all__ = ["CascadeKernel"]
 
@@ -79,7 +77,6 @@ class CascadeKernel(Algorithm1Kernel):
     needs_norms = True
     needs_aux = True
     has_prefilter = True
-    supports_multiquery = False
 
     #: default signature width (bits); :meth:`memory_per_image` assumes
     #: it unless told otherwise.
@@ -156,13 +153,14 @@ class CascadeKernel(Algorithm1Kernel):
     def reference_aux(self, matrix: np.ndarray) -> np.ndarray:
         return self._encode(matrix)
 
-    def prepare_query(self, device: GPUDevice, descriptors: np.ndarray) -> PreparedQuery:
-        prepared = super().prepare_query(device, descriptors)
+    def prepare_query(self, device: GPUDevice, descriptor_list: list[np.ndarray]) -> PreparedQuery:
+        prepared = super().prepare_query(device, descriptor_list)
         return PreparedQuery(
             matrix=prepared.matrix,
-            aux=_CascadeQuery(
-                features=prepared.aux, codes=self._encode(prepared.matrix)
-            ),
+            aux=[
+                _CascadeQuery(features=features, codes=self._encode(features.values))
+                for features in prepared.aux
+            ],
         )
 
     # -- the prefilter -------------------------------------------------
@@ -178,7 +176,12 @@ class CascadeKernel(Algorithm1Kernel):
         batch: ReferenceBatch,
         query: PreparedQuery,
     ) -> np.ndarray:
-        q_codes = query.aux.codes
+        return np.stack([self._prefilter_query(device, batch, aux.codes) for aux in query.aux])
+
+    def _prefilter_query(
+        self, device: GPUDevice, batch: ReferenceBatch, q_codes: np.ndarray
+    ) -> np.ndarray:
+        """``(batch.size,)`` survivor mask of one query's codes."""
         q_valid = q_codes[:, self.n_words] != 0
         qc = q_codes[:, : self.n_words]
         n = qc.shape[0]
@@ -213,34 +216,6 @@ class CascadeKernel(Algorithm1Kernel):
         return survivors
 
     # -- matching ------------------------------------------------------
-    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
-        cfg = self.config
-        features = query.aux.features if isinstance(query.aux, _CascadeQuery) else query.aux
-        matches = []
-        for i in range(batch.size):
-            if survivors is not None and not survivors[i]:
-                # Hamming-pruned: no GEMM, no scan, no post-processing.
-                matches.append(
-                    ImageMatch(
-                        reference_id=batch.ids[i],
-                        good_matches=0,
-                        n_query_features=cfg.n,
-                        match_mask=np.zeros(cfg.n, dtype=bool) if keep_masks else None,
-                        matched_reference_indices=(
-                            np.zeros(0, dtype=np.int32) if keep_masks else None
-                        ),
-                    )
-                )
-                continue
-            ref = PreparedFeatures(
-                values=batch.tensor[i],
-                norms=batch.norms[i],
-                precision=cfg.precision,
-                scale=cfg.effective_scale,
-            )
-            knn = knn_algorithm1(
-                device, ref, features, k=cfg.k, sort_kind=self._sort_kind()
-            )
-            device.cpu_postprocess(1, cfg.precision, cfg.n)
-            matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))
-        return matches
+    def match_query(self, device, batch, matrix, aux, keep_masks, survivors):
+        # Algorithm 1 on the survivors; pruned slots report zero matches.
+        return super().match_query(device, batch, matrix, aux.features, keep_masks, survivors)

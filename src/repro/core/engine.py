@@ -118,10 +118,10 @@ class _SweepOutcome:
     True whenever that count is non-zero.  ``images_pruned`` counts
     images in batches the candidate restriction excluded — a
     deliberate first-tier decision that never marks the outcome
-    partial.  ``cascade_pruned`` counts images whose exact GEMM the
-    kernel's Hamming prefilter skipped — those images still count into
-    ``images`` (they were examined and report zero matches), unlike
-    routing-pruned ones.
+    partial.  ``cascade_pruned`` counts, per query, images whose exact
+    GEMM the kernel's Hamming prefilter skipped — those images still
+    count into ``images`` (they were examined and report zero matches),
+    unlike routing-pruned ones.
     """
 
     per_query_matches: list[list[ImageMatch]]
@@ -129,11 +129,23 @@ class _SweepOutcome:
     elapsed_us: float
     images_skipped: int = 0
     images_pruned: int = 0
-    cascade_pruned: int = 0
+    cascade_pruned: list[int] = field(default_factory=list)
 
     @property
     def partial(self) -> bool:
         return self.images_skipped > 0
+
+    def result(self, q: int) -> SearchResult:
+        """Query ``q``'s view of the sweep."""
+        return SearchResult(
+            matches=self.per_query_matches[q],
+            elapsed_us=self.elapsed_us,
+            images_searched=self.images,
+            partial=self.partial,
+            images_skipped=self.images_skipped,
+            images_pruned=self.images_pruned,
+            cascade_pruned=self.cascade_pruned[q],
+        )
 
 
 class TextureSearchEngine:
@@ -396,14 +408,14 @@ class TextureSearchEngine:
     def _execute_sweep(
         self,
         query: PreparedQuery,
-        n_queries: int,
         keep_masks: bool = False,
         batches: Iterable[CachedBatch] | None = None,
         record_stats: bool = True,
         honor_deadline: bool = True,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> _SweepOutcome:
-        """The one batch loop every match path runs on.
+        """The one batch loop every match path runs on, for a prepared
+        query group of any size (a single search is a group of one).
 
         Owns, for every backend: H2D transfer accounting for
         host-resident batches, tombstone filtering, the multi-stream
@@ -432,15 +444,16 @@ class TextureSearchEngine:
         Prefilter backends (``kernel.has_prefilter``) add a stage in
         front of the exact match: ``prefilter_batch`` runs on the
         cached aux codes *before* any H2D staging, its cost charged
-        through the gpusim popcount model.  A batch with no survivor is
-        short-circuited — no transfer, no GEMM — and its images report
-        zero matches (they still count into ``images``: the prefilter
-        *examined* them, unlike routing-pruned batches it never saw);
-        partial survivors are handed to ``match_batch`` so pruned slots
-        skip their per-image GEMM.  ``cascade_pruned`` counts the
-        skipped GEMMs.
+        through the gpusim popcount model.  A batch where no query keeps a
+        slot is never transferred, and its images report zero matches
+        (they still count into ``images``: the prefilter *examined*
+        them, unlike routing-pruned batches it never saw); the survivor
+        mask is handed to ``match_batch`` so pruned (query, slot) pairs
+        skip their GEMM.  ``cascade_pruned`` counts the skipped GEMMs
+        per query.
         """
         cfg = self.config
+        n_queries = query.n_queries
         deadline = current_deadline() if honor_deadline else None
         profile_before = self.device.profiler.as_dict() if record_stats else {}
         sweep_cm = (
@@ -458,11 +471,8 @@ class TextureSearchEngine:
             host_images = 0
             images_skipped = 0
             images_pruned = 0
-            cascade_pruned = 0
+            cascade_pruned = np.zeros(n_queries, dtype=np.int64)
             charged_at_us = start_us
-            prefilter_active = (
-                self.kernel.has_prefilter and query.matrix.ndim == 2
-            )
             source = self.cache.batches() if batches is None else batches
             traced = _TRACER.enabled
             for cached in source:
@@ -481,12 +491,12 @@ class TextureSearchEngine:
                 batch = cached.batch
                 resident = cached.location is not CacheLocation.HOST
                 survivors = None
-                if prefilter_active:
+                if self.kernel.has_prefilter:
                     # the prefilter runs on the small cached codes before
                     # any feature staging; its popcount cost is charged.
                     survivors = self.kernel.prefilter_batch(self.device, batch, query)
                     if survivors is not None:
-                        cascade_pruned += batch.size - int(survivors.sum())
+                        cascade_pruned += batch.size - survivors.sum(axis=1)
                 fully_pruned = survivors is not None and not survivors.any()
                 if record_stats:
                     (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
@@ -506,21 +516,11 @@ class TextureSearchEngine:
                         self.device.h2d(batch.nbytes, pinned=self.cache.pinned)
                         _H2D_BYTES.inc(batch.nbytes)
                         host_images += batch.size
-                    if fully_pruned:
-                        # no survivor: the batch never transfers and the
-                        # exact stage is skipped outright.
-                        groups = [self._pruned_matches(batch, keep_masks)]
-                    elif query.matrix.ndim == 3:  # a prepared query *group*
-                        groups = self.kernel.match_batch_multi(self.device, batch, query, keep_masks)
-                    elif survivors is not None:
-                        groups = [
-                            self.kernel.match_batch(
-                                self.device, batch, query, keep_masks,
-                                survivors=survivors,
-                            )
-                        ]
-                    else:
-                        groups = [self.kernel.match_batch(self.device, batch, query, keep_masks)]
+                    # a fully pruned batch skips the exact stage: the kernel
+                    # charges nothing for pruned (query, slot) pairs.
+                    groups = self.kernel.match_batch(
+                        self.device, batch, query, keep_masks, survivors
+                    )
                     # tombstone filtering: resolve the batch's dead slots once
                     # (kernels emit one match per slot, in slot order), then
                     # drop them from every query's list by index.
@@ -582,39 +582,22 @@ class TextureSearchEngine:
                 _DEADLINE_SWEEPS.inc()
             if images_pruned and record_stats:
                 _IMAGES_PRUNED.inc(images_pruned)
-            if cascade_pruned and record_stats:
-                _CASCADE_PRUNED.inc(cascade_pruned)
+            pruned_pairs = int(cascade_pruned.sum())
+            if pruned_pairs and record_stats:
+                _CASCADE_PRUNED.inc(pruned_pairs)
             if sweep_span is not None:
                 sweep_span.set(sim_elapsed_us=elapsed, images=images,
                                images_skipped=images_skipped,
                                images_pruned=images_pruned,
-                               cascade_pruned=cascade_pruned)
+                               cascade_pruned=pruned_pairs)
         return _SweepOutcome(
             per_query_matches=per_query,
             images=images,
             elapsed_us=elapsed,
             images_skipped=images_skipped,
             images_pruned=images_pruned,
-            cascade_pruned=cascade_pruned,
+            cascade_pruned=cascade_pruned.tolist(),
         )
-
-    def _pruned_matches(self, batch: ReferenceBatch, keep_masks: bool) -> list[ImageMatch]:
-        """Zero-match entries for a fully Hamming-pruned batch — one per
-        slot, in slot order, so the tombstone/candidate filtering below
-        treats them exactly like kernel output."""
-        n = self.config.n
-        return [
-            ImageMatch(
-                reference_id=slot_id,
-                good_matches=0,
-                n_query_features=n,
-                match_mask=np.zeros(n, dtype=bool) if keep_masks else None,
-                matched_reference_indices=(
-                    np.zeros(0, dtype=np.int32) if keep_masks else None
-                ),
-            )
-            for slot_id in batch.ids
-        ]
 
     # ------------------------------------------------------------------
     # search
@@ -625,27 +608,9 @@ class TextureSearchEngine:
         keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> SearchResult:
-        """One-to-many search over every cached reference image.
-
-        ``candidate_ids`` (from a :mod:`repro.routing` tier) restricts
-        the sweep to the nominated references — see
-        :meth:`_execute_sweep`; ``None`` keeps the exhaustive path
-        bit-identical to the pre-routing engine.
-        """
-        self.flush()
-        query = self.kernel.prepare_query(self.device, query_descriptors)
-        outcome = self._execute_sweep(
-            query, n_queries=1, keep_masks=keep_masks, candidate_ids=candidate_ids
-        )
-        return SearchResult(
-            matches=outcome.per_query_matches[0],
-            elapsed_us=outcome.elapsed_us,
-            images_searched=outcome.images,
-            partial=outcome.partial,
-            images_skipped=outcome.images_skipped,
-            images_pruned=outcome.images_pruned,
-            cascade_pruned=outcome.cascade_pruned,
-        )
+        """One-to-many search over every cached reference image: the
+        group of one (see :meth:`search_group`)."""
+        return self.search_group([query_descriptors], keep_masks, candidate_ids).results[0]
 
     def search_group(
         self,
@@ -653,64 +618,42 @@ class TextureSearchEngine:
         keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> GroupSearchResult:
-        """Fused query-group search (Sec. 5.3 extension) — the serving
-        tier's unit of work.
+        """One-to-many search of a query group (Sec. 5.3 extension) over
+        every cached reference image — the serving tier's unit of work,
+        and with one query the plain search.
 
         The whole group is answered in *one* sweep over the cache:
         every reference batch is transferred (H2D) once for the group,
-        the GEMMs fuse to ``group * n`` query columns, tombstones are
-        filtered once per batch, and the multi-stream overlap
-        correction is applied at the fused width.  Higher throughput,
-        but every query's ``elapsed_us`` is the group's completion time
-        (the latency cost the paper warns about — quantified by the
-        ``serving`` bench experiment).  Requires a multi-query backend
-        (the RootSIFT Algorithm-2 pipeline).
+        Algorithm 2's GEMMs fuse to ``group * n`` query columns (other
+        backends match the queries one by one), tombstones are filtered
+        once per batch, and the multi-stream overlap correction is
+        applied at the fused width.  Higher throughput, but every
+        query's ``elapsed_us`` is the group's completion time (the
+        latency cost the paper warns about — quantified by the
+        ``serving`` bench experiment).
+
+        ``candidate_ids`` (from a :mod:`repro.routing` tier) restricts
+        the sweep to the nominated references — see
+        :meth:`_execute_sweep`; ``None`` keeps the exhaustive path
+        bit-identical to the pre-routing engine.
         """
-        if not self.kernel.supports_multiquery:
-            raise ValueError(
-                "query-group search requires a multi-query backend (the RootSIFT "
-                f"Algorithm-2 pipeline); backend {self.backend!r} does not support it"
-            )
         if not query_descriptor_list:
             return GroupSearchResult()
         self.flush()
-        query = self.kernel.prepare_query_many(self.device, query_descriptor_list)
-        n_queries = len(query_descriptor_list)
+        query = self.kernel.prepare_query(self.device, query_descriptor_list)
         outcome = self._execute_sweep(
-            query, n_queries=n_queries, keep_masks=keep_masks,
-            candidate_ids=candidate_ids,
+            query, keep_masks=keep_masks, candidate_ids=candidate_ids
         )
+        results = [outcome.result(q) for q in range(query.n_queries)]
         return GroupSearchResult(
-            results=[
-                SearchResult(
-                    matches=outcome.per_query_matches[q],
-                    elapsed_us=outcome.elapsed_us,
-                    images_searched=outcome.images,
-                    partial=outcome.partial,
-                    images_skipped=outcome.images_skipped,
-                    images_pruned=outcome.images_pruned,
-                    cascade_pruned=outcome.cascade_pruned,
-                )
-                for q in range(n_queries)
-            ],
+            results=results,
             elapsed_us=outcome.elapsed_us,
             images_searched=outcome.images,
             partial=outcome.partial,
             images_skipped=outcome.images_skipped,
             images_pruned=outcome.images_pruned,
-            cascade_pruned=outcome.cascade_pruned,
+            cascade_pruned=max(outcome.cascade_pruned),
         )
-
-    def search_many(
-        self,
-        query_descriptor_list: list[np.ndarray],
-        candidate_ids: set[str] | frozenset[str] | None = None,
-    ) -> list[SearchResult]:
-        """Query-batched one-to-many search; per-query view of
-        :meth:`search_group` (kept for API compatibility)."""
-        return self.search_group(
-            query_descriptor_list, candidate_ids=candidate_ids
-        ).results
 
     # ------------------------------------------------------------------
     # verification
@@ -724,7 +667,7 @@ class TextureSearchEngine:
         cfg = self.config
         ref_matrix, norms = self.prepare_reference_matrix(reference_descriptors)
         aux = self.kernel.reference_aux(ref_matrix) if self.kernel.needs_aux else None
-        query = self.kernel.prepare_query(self.device, query_descriptors)
+        query = self.kernel.prepare_query(self.device, [query_descriptors])
         transient = ReferenceBatch(
             batch_id=-1,
             ids=["\x00verify"],
@@ -734,7 +677,6 @@ class TextureSearchEngine:
         )
         outcome = self._execute_sweep(
             query,
-            n_queries=1,
             batches=[CachedBatch(batch=transient, location=CacheLocation.GPU)],
             record_stats=False,
             honor_deadline=False,  # a 1:1 verification is never sheddable

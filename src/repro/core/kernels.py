@@ -10,10 +10,12 @@ baselines the paper compares against are adapted to the same interface
 in :mod:`repro.baselines.adapters`, so they run through the real
 engine, hybrid cache and bench harness.
 
-Query preparation returns an explicit :class:`PreparedQuery` value
-that the engine threads through the sweep — kernels hold no per-query
-mutable state, which is what makes one engine instance safe to use for
-interleaved ``search``/``verify`` calls.
+There is one query shape: a *group* of ``Q`` queries, a single query
+being the group of one.  Query preparation returns an explicit
+:class:`PreparedQuery` value that the engine threads through the
+sweep — kernels hold no per-query mutable state, which is what makes
+one engine instance safe to use for interleaved ``search``/``verify``
+calls.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from ..gpusim.engine_model import GPUDevice
 from .algorithm1 import PreparedFeatures, knn_algorithm1, prepare_query, prepare_reference
 from .algorithm2 import knn_algorithm2
 from .batching import ReferenceBatch
-from .ratio_test import batch_ratio_test_masks, match_images, match_images_batch
+from .ratio_test import batch_ratio_test_masks  # noqa: F401 - perfbench's tracer looks this name up
+from .ratio_test import match_images, match_images_batch
 from .results import ImageMatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,21 +50,31 @@ __all__ = [
 
 @dataclass
 class PreparedQuery:
-    """A query in kernel-ready form, returned by ``prepare_query``.
+    """A query group in kernel-ready form, returned by ``prepare_query``.
 
-    ``matrix`` is the engine-precision query matrix — ``(d, n)`` for a
-    single query, ``(Q, d, n)`` for a ``prepare_query_many`` group.
-    ``aux`` carries kernel-specific extras (Algorithm 1 keeps its
-    :class:`PreparedFeatures` with the on-device ``N_Q`` vector here;
-    the LSH adapter keeps the query's hash codes).
+    ``matrix`` is the ``(Q, d, n)`` engine-precision query tensor.
+    ``aux`` is ``None`` or one kernel-specific extra per query
+    (Algorithm 1 keeps each query's :class:`PreparedFeatures` with its
+    on-device ``N_Q`` vector here; the LSH adapter keeps hash codes).
     """
 
     matrix: np.ndarray
-    aux: Any = None
+    aux: list[Any] | None = None
 
     @property
     def n_queries(self) -> int:
-        return 1 if self.matrix.ndim == 2 else self.matrix.shape[0]
+        return self.matrix.shape[0]
+
+
+def _pruned_match(reference_id: str, n: int, keep_masks: bool) -> ImageMatch:
+    """The zero-match entry of a reference a prefilter pruned."""
+    return ImageMatch(
+        reference_id=reference_id,
+        good_matches=0,
+        n_query_features=n,
+        match_mask=np.zeros(n, dtype=bool) if keep_masks else None,
+        matched_reference_indices=np.zeros(0, dtype=np.int32) if keep_masks else None,
+    )
 
 
 class MatchKernel(ABC):
@@ -70,7 +83,10 @@ class MatchKernel(ABC):
     A kernel is constructed once per engine with that engine's
     :class:`~repro.core.config.EngineConfig` and must be stateless with
     respect to queries: everything a sweep needs is in the
-    :class:`PreparedQuery` it returned.
+    :class:`PreparedQuery` it returned.  Backends with a fused GEMM
+    override :meth:`match_batch`; the rest implement
+    :meth:`match_query`, which the default :meth:`match_batch` runs once
+    per query of the group.
 
     Class attributes
     ----------------
@@ -90,16 +106,12 @@ class MatchKernel(ABC):
         exact match — the engine calls it *before* staging a
         host-resident batch, so a fully-pruned batch never pays its
         H2D transfer.
-    supports_multiquery:
-        Whether :meth:`match_batch_multi` is implemented (enables
-        ``TextureSearchEngine.search_many``).
     """
 
     name: str = "abstract"
     needs_norms: bool = False
     needs_aux: bool = False
     has_prefilter: bool = False
-    supports_multiquery: bool = False
 
     def __init__(self, config: "EngineConfig") -> None:
         self.config = config
@@ -174,14 +186,15 @@ class MatchKernel(ABC):
         batch: ReferenceBatch,
         query: PreparedQuery,
     ) -> np.ndarray | None:
-        """Survivor mask (``(batch.size,)`` bool) ahead of the exact
+        """Survivor mask (``(Q, batch.size)`` bool) ahead of the exact
         match, charging the device for the prune test itself.
 
         ``None`` means "no pruning decision" (all slots survive).  The
-        engine short-circuits batches whose mask is all-False before
-        any H2D staging, and passes the mask to :meth:`match_batch` as
-        ``survivors`` so the kernel skips the exact GEMM for pruned
-        slots.  Only called when :attr:`has_prefilter`.
+        engine short-circuits batches where no query keeps a slot
+        before any H2D staging, and passes the mask to
+        :meth:`match_batch` as ``survivors`` so the kernel skips the
+        exact GEMM for pruned (query, slot) pairs.  Only called when
+        :attr:`has_prefilter`.
         """
         return None
 
@@ -191,55 +204,69 @@ class MatchKernel(ABC):
         """Pure transform of ``(d, count)`` descriptors to the
         ``(d, n)`` engine-precision query matrix (never charged)."""
 
-    def prepare_query(self, device: GPUDevice, descriptors: np.ndarray) -> PreparedQuery:
-        """Full query preparation, charging the device where the paper
-        does (e.g. Algorithm 1's query H2D + ``N_Q``)."""
-        return PreparedQuery(matrix=self.query_matrix(descriptors))
-
-    def prepare_query_many(
+    def prepare_query(
         self, device: GPUDevice, descriptor_list: list[np.ndarray]
     ) -> PreparedQuery:
-        """Prepare a query *group* for a multi-query sweep."""
-        raise ValueError(
-            f"backend {self.name!r} does not support query-batched search"
+        """Prepare a query group, charging the device where the paper
+        does (e.g. Algorithm 1's query H2D + ``N_Q``, once per query)."""
+        return PreparedQuery(
+            matrix=np.stack([self.query_matrix(q) for q in descriptor_list])
         )
 
     # -- matching ------------------------------------------------------
-    @abstractmethod
     def match_batch(
         self,
         device: GPUDevice,
         batch: ReferenceBatch,
         query: PreparedQuery,
         keep_masks: bool = False,
-    ) -> list[ImageMatch]:
-        """Match one prepared query against one reference batch."""
+        survivors: np.ndarray | None = None,
+    ) -> list[list[ImageMatch]]:
+        """Match a query group against one batch: one match list per
+        query, each holding one entry per slot in slot order.
 
-    def match_batch_multi(
+        ``survivors`` is the prefilter's ``(Q, batch.size)`` mask.  The
+        default answers the queries one by one through
+        :meth:`match_query`, so each pays exactly the device charges of
+        a group of one.
+        """
+        return [
+            self.match_query(
+                device,
+                batch,
+                query.matrix[q],
+                None if query.aux is None else query.aux[q],
+                keep_masks,
+                None if survivors is None else survivors[q],
+            )
+            for q in range(query.n_queries)
+        ]
+
+    def match_query(
         self,
         device: GPUDevice,
         batch: ReferenceBatch,
-        query: PreparedQuery,
-        keep_masks: bool = False,
-    ) -> list[list[ImageMatch]]:
-        """Match a query group against one batch; per-query match lists."""
-        raise ValueError(
-            f"backend {self.name!r} does not support query-batched search"
-        )
+        matrix: np.ndarray,
+        aux: Any,
+        keep_masks: bool,
+        survivors: np.ndarray | None,
+    ) -> list[ImageMatch]:
+        """Match one ``(d, n)`` query of a group (with its ``aux``
+        entry) against one batch; ``survivors`` is its prefilter row."""
+        raise NotImplementedError(f"backend {self.name!r} implements neither match path")
 
 
 class Algorithm2Kernel(MatchKernel):
-    """The paper's RootSIFT pipeline (previously ``use_rootsift=True``).
+    """The paper's RootSIFT pipeline.
 
     Unit-normalised features make the norm vectors vanish; references
     batch into fused GEMMs and the whole sweep is four steps per batch
-    (:mod:`repro.core.algorithm2`).  Also the only built-in kernel with
-    a fused multi-query path (Sec. 5.3 extension).
+    (:mod:`repro.core.algorithm2`).  The query group fuses into the
+    same GEMM (Sec. 5.3 extension).
     """
 
     name = "algorithm2"
     needs_norms = False
-    supports_multiquery = True
 
     def describe(self) -> str:
         return f"+ {self.config.normalization}"
@@ -263,12 +290,7 @@ class Algorithm2Kernel(MatchKernel):
         matrix = pad_or_trim(self._unit_normalize(descriptors), cfg.n)
         return self._to_engine_precision(matrix)
 
-    def prepare_query_many(self, device, descriptor_list):
-        return PreparedQuery(
-            matrix=np.stack([self.query_matrix(q) for q in descriptor_list])
-        )
-
-    def match_batch(self, device, batch, query, keep_masks=False):
+    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
         cfg = self.config
         result = knn_algorithm2(
             device,
@@ -279,63 +301,31 @@ class Algorithm2Kernel(MatchKernel):
             precision=cfg.precision,
             tensor_core=cfg.tensor_core,
         )
-        device.cpu_postprocess(batch.size, cfg.precision, cfg.n)
-        # one vectorised ratio-test/count pass over the whole batch
-        return match_images_batch(
-            batch.ids, result.distances, result.indices, cfg.ratio_threshold, keep_masks
-        )
-
-    def match_batch_multi(self, device, batch, query, keep_masks=False):
-        from .query_batching import knn_algorithm2_multiquery
-
-        cfg = self.config
-        n_queries = query.n_queries
-        result = knn_algorithm2_multiquery(
-            device,
-            batch.tensor,
-            query.matrix,
-            scale=cfg.effective_scale,
-            k=cfg.k,
-            precision=cfg.precision,
-            tensor_core=cfg.tensor_core,
-        )
-        device.cpu_postprocess(batch.size * n_queries, cfg.precision, cfg.n)
-        # one vectorised ratio-test/count pass over the whole
-        # (batch, n_queries) group, instead of per-pair calls
-        masks = batch_ratio_test_masks(result.distances, cfg.ratio_threshold)
-        counts = masks.sum(axis=-1)  # (batch, n_queries)
-        n_query = result.distances.shape[-1]
-        groups: list[list[ImageMatch]] = []
-        for q in range(n_queries):
-            groups.append(
-                [
-                    ImageMatch(
-                        reference_id=batch.ids[i],
-                        good_matches=int(counts[i, q]),
-                        n_query_features=n_query,
-                        match_mask=masks[i, q] if keep_masks else None,
-                        matched_reference_indices=(
-                            result.indices[i, q, 0][masks[i, q]] if keep_masks else None
-                        ),
-                    )
-                    for i in range(batch.size)
-                ]
+        device.cpu_postprocess(batch.size * query.n_queries, cfg.precision, cfg.n)
+        # one vectorised ratio-test/count pass per query over the batch
+        return [
+            match_images_batch(
+                batch.ids, result.distances[:, q], result.indices[:, q],
+                cfg.ratio_threshold, keep_masks,
             )
-        return groups
+            for q in range(query.n_queries)
+        ]
+
+    #: one fused path serves every group size; perfbench's tracer looks this name up
+    match_batch_multi = match_batch
 
 
 class Algorithm1Kernel(MatchKernel):
-    """The paper's cuBLAS pipeline (previously ``use_rootsift=False``).
+    """The paper's cuBLAS pipeline.
 
     Raw descriptors with cached ``N_R`` squared-norm vectors; matching
-    loops per image because the paper batches only the RootSIFT
-    pipeline.  The sort is the register top-2 scan by default
+    loops per image (and per query) because the paper batches only the
+    RootSIFT pipeline.  The sort is the register top-2 scan by default
     (``EngineConfig.sort_kind``).
     """
 
     name = "algorithm1"
     needs_norms = True
-    supports_multiquery = False
 
     def describe(self) -> str:
         return "(Alg. 1)"
@@ -364,30 +354,34 @@ class Algorithm1Kernel(MatchKernel):
         descriptors = self._check_descriptors(descriptors)
         return self._to_engine_precision(pad_or_trim(descriptors, cfg.n))
 
-    def prepare_query(self, device, descriptors):
+    def prepare_query(self, device, descriptor_list):
         cfg = self.config
-        descriptors = self._check_descriptors(descriptors)
-        features = prepare_query(
-            device,
-            pad_or_trim(descriptors, cfg.n),
-            cfg.precision,
-            cfg.effective_scale,
-        )
-        return PreparedQuery(matrix=features.values, aux=features)
+        features = [
+            prepare_query(
+                device,
+                pad_or_trim(self._check_descriptors(descriptors), cfg.n),
+                cfg.precision,
+                cfg.effective_scale,
+            )
+            for descriptors in descriptor_list
+        ]
+        return PreparedQuery(matrix=np.stack([f.values for f in features]), aux=features)
 
-    def match_batch(self, device, batch, query, keep_masks=False):
+    def match_query(self, device, batch, matrix, aux, keep_masks, survivors):
         cfg = self.config
         matches = []
         for i in range(batch.size):
+            if survivors is not None and not survivors[i]:
+                # prefilter-pruned: no GEMM, no scan, no post-processing.
+                matches.append(_pruned_match(batch.ids[i], cfg.n, keep_masks))
+                continue
             ref = PreparedFeatures(
                 values=batch.tensor[i],
                 norms=batch.norms[i],
                 precision=cfg.precision,
                 scale=cfg.effective_scale,
             )
-            knn = knn_algorithm1(
-                device, ref, query.aux, k=cfg.k, sort_kind=self._sort_kind()
-            )
+            knn = knn_algorithm1(device, ref, aux, k=cfg.k, sort_kind=self._sort_kind())
             device.cpu_postprocess(1, cfg.precision, cfg.n)
             matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))
         return matches

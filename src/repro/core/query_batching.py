@@ -3,10 +3,11 @@
 "Similar to the batch process for reference feature matrix, the query
 feature matrix can also be batched for higher performance.  However,
 the search latency also increases" — the paper leaves the trade-off to
-the DNN-serving literature.  This module implements it: ``Q_batch``
-query matrices are concatenated column-wise into one ``(d, Q*n)``
-matrix, so a single batched GEMM serves every (reference, query) pair
-and the top-2 scan sees ``batch * Q * n`` columns.
+the DNN-serving literature.  The fused kernel is
+:func:`repro.core.algorithm2.knn_algorithm2` itself: it takes a
+``(Q, d, n)`` query group, concatenates it column-wise into one
+``(d, Q*n)`` matrix, so a single batched GEMM serves every (reference,
+query) pair and the top-2 scan sees ``batch * Q * n`` columns.
 
 Throughput rises (more data reuse per cached reference batch, more scan
 occupancy); *per-query latency* becomes the whole group's completion
@@ -17,14 +18,9 @@ models — the ablation the paper hand-waves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from ..errors import HalfPrecisionOverflowError
 from ..gpusim.calibration import KernelCalibration
 from ..gpusim.device import DeviceSpec
-from ..gpusim.engine_model import GPUDevice
 from ..gpusim.kernels import (
     d2h_result_us,
     dtype_bytes,
@@ -33,108 +29,13 @@ from ..gpusim.kernels import (
     postprocess_us,
     top2_scan_us,
 )
-from ..gpusim.stream import Stream
-from .algorithm2 import BatchKnnResult
-from .topk import functional_topk
+from .algorithm2 import knn_algorithm2
+from .topk import functional_topk  # noqa: F401 - perfbench's tracer looks this name up
 
-__all__ = ["MultiQueryResult", "knn_algorithm2_multiquery", "QueryBatchPoint", "query_batch_tradeoff"]
+__all__ = ["QueryBatchPoint", "query_batch_tradeoff"]
 
-
-@dataclass
-class MultiQueryResult:
-    """Top-k results for every (reference image, query) pair.
-
-    ``distances``/``indices`` have shape ``(batch, n_queries, k, n)``.
-    """
-
-    distances: np.ndarray
-    indices: np.ndarray
-
-    def query(self, q: int) -> BatchKnnResult:
-        """The per-query view, shaped like a single-query Algorithm 2 run."""
-        return BatchKnnResult(
-            distances=np.ascontiguousarray(self.distances[:, q]),
-            indices=np.ascontiguousarray(self.indices[:, q]),
-        )
-
-    @property
-    def n_queries(self) -> int:
-        return self.distances.shape[1]
-
-
-def knn_algorithm2_multiquery(
-    device: GPUDevice,
-    references: np.ndarray,
-    queries: np.ndarray,
-    scale: float = 1.0,
-    k: int = 2,
-    precision: str = "fp16",
-    tensor_core: bool = False,
-    stream: Optional[Stream] = None,
-) -> MultiQueryResult:
-    """Batched-reference x batched-query 2-NN.
-
-    ``references`` is ``(batch, d, m)``; ``queries`` is ``(Q, d, n)``.
-    Functionally equivalent to running Algorithm 2 once per query, but
-    charged as one fused GEMM + one wide scan.
-    """
-    references = np.asarray(references)
-    queries = np.asarray(queries)
-    if references.ndim != 3 or queries.ndim != 3:
-        raise ValueError("references must be (batch, d, m) and queries (Q, d, n)")
-    if references.shape[1] != queries.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: references d={references.shape[1]}, "
-            f"queries d={queries.shape[1]}"
-        )
-    batch, d, m = references.shape
-    n_queries, _, n = queries.shape
-    if not (1 <= k <= m):
-        raise ValueError(f"k={k} out of range for m={m}")
-
-    # Column-concatenate queries: (d, Q*n).
-    q_all = np.transpose(queries, (1, 0, 2)).reshape(d, n_queries * n)
-
-    if precision == "fp16":
-        from ..blas.gemm import batched_hgemm
-
-        prod, overflow = batched_hgemm(
-            device, references, q_all, alpha=1.0, tensor_core=tensor_core, stream=stream
-        )
-        if overflow:
-            raise HalfPrecisionOverflowError(scale, float(np.abs(prod).max()))
-        a = -2.0 * prod
-        const = 2.0 * scale * scale
-    elif precision == "fp32":
-        device.gemm(m, n_queries * n, d, batch=batch, dtype="fp32", stream=stream, step="GEMM")
-        a = -2.0 * np.einsum(
-            "bkm,kn->bmn",
-            references.astype(np.float32),
-            q_all.astype(np.float32),
-            optimize=True,
-        )
-        const = 2.0
-    else:
-        raise ValueError(f"precision must be 'fp16' or 'fp32', got {precision!r}")
-
-    device.top2_scan(m, batch * n_queries * n, dtype=precision, stream=stream, step="Top-2 sort")
-    columns = np.transpose(a, (1, 0, 2)).reshape(m, batch * n_queries * n)
-    top_vals, top_idx = functional_topk(columns, k)
-
-    device.elementwise(k * batch * n_queries * n, dtype=precision, stream=stream, step="sqrt")
-    sq = top_vals + np.float32(const)
-    np.maximum(sq, 0.0, out=sq)
-    dist = np.sqrt(sq, dtype=np.float32)
-    if precision == "fp16":
-        dist /= np.float32(scale)
-
-    device.d2h_result(n_queries * n, batch=batch, k=k, dtype=precision, stream=stream)
-    distances = dist.reshape(k, batch, n_queries, n).transpose(1, 2, 0, 3)
-    indices = top_idx.reshape(k, batch, n_queries, n).transpose(1, 2, 0, 3).astype(np.int32)
-    return MultiQueryResult(
-        distances=np.ascontiguousarray(distances),
-        indices=np.ascontiguousarray(indices),
-    )
+#: the fused multi-query kernel is knn_algorithm2; perfbench's tracer looks this name up
+knn_algorithm2_multiquery = knn_algorithm2
 
 
 @dataclass(frozen=True)

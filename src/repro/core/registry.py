@@ -3,8 +3,7 @@
 The engine's k-NN math is pluggable: every backend implements the
 :class:`~repro.core.kernels.MatchKernel` interface and is registered
 here under a short name.  :class:`~repro.core.config.EngineConfig`
-selects one via its ``backend`` field (with the legacy ``use_rootsift``
-flag kept as a deprecated alias), and
+selects one via its ``backend`` field, and
 :class:`~repro.core.engine.TextureSearchEngine` asks this module for
 the kernel instance at construction time.
 
@@ -13,10 +12,9 @@ Built-in backends
 
 ``algorithm2``
     The paper's RootSIFT pipeline (batched GEMM, no norm vectors) —
-    the default, previously ``use_rootsift=True``.
+    the default.
 ``algorithm1``
-    The paper's cuBLAS pipeline with cached ``N_R`` norms — previously
-    ``use_rootsift=False``.
+    The paper's cuBLAS pipeline with cached ``N_R`` norms.
 ``garcia``
     Garcia et al. [9]: Algorithm 1 with the original modified insertion
     sort (Table 1, column 2), now runnable through the full engine.
@@ -125,14 +123,8 @@ def kernel_class(name: str) -> type:
 
 
 def resolve_backend(config: "EngineConfig") -> str:
-    """The backend a configuration selects.
-
-    ``EngineConfig.backend`` wins when set; otherwise the deprecated
-    ``use_rootsift`` flag picks between the paper's two algorithms.
-    """
-    if config.backend is not None:
-        return canonical_backend(config.backend)
-    return "algorithm2" if config.use_rootsift else "algorithm1"
+    """The backend a configuration selects (its canonical ``backend``)."""
+    return canonical_backend(config.backend)
 
 
 def create_kernel(config: "EngineConfig", name: str | None = None) -> "MatchKernel":

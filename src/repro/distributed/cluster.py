@@ -297,6 +297,43 @@ class ClusterGroupResult:
         return bool(self.unsearched_shards) or self.deadline_expired
 
 
+class _AllowedReplicas:
+    """One shard's readers whose circuit breaker lets work through, in
+    reader order.  Each breaker is consulted (and, when open, counts a
+    skip toward its cooldown) only when the gather first reaches that
+    replica, i.e. when it is about to send the replica work."""
+
+    def __init__(self, readers: list[SearchNode]) -> None:
+        self._pending = iter(readers)
+        self.nodes: list[SearchNode] = []
+
+    def _get(self, k: int) -> SearchNode | None:
+        """The ``k``-th allowed replica, consulting breakers as needed."""
+        while len(self.nodes) <= k:
+            replica = next(self._pending, None)
+            if replica is None:
+                return None
+            if replica.breaker is not None and not replica.breaker.allow():
+                _BREAKER_SKIPS.inc()
+                continue
+            self.nodes.append(replica)
+        return self.nodes[k]
+
+    def take(self, count: int) -> list[SearchNode]:
+        """Up to ``count`` allowed replicas: one per slice."""
+        self._get(count - 1)
+        return self.nodes[:count]
+
+    def rotation(self, start: int):
+        """Failover order for slice ``start``: its own replica, the
+        allowed replicas after it (drawn lazily), then those before."""
+        k = start
+        while (replica := self._get(k)) is not None:
+            yield replica
+            k += 1
+        yield from self.nodes[:start]
+
+
 class DistributedSearchSystem:
     """Fourteen-GPU-container texture identification service (scalable
     to any node count)."""
@@ -796,20 +833,17 @@ class DistributedSearchSystem:
 
     def _route(
         self,
-        queries,
-        group: bool,
+        query_descriptor_list: list[np.ndarray],
         nprobe: int | None,
         recall_target: float | None,
     ) -> RouteDecision | None:
-        """First-tier nomination for one request, or ``None`` when
+        """First-tier nomination for one query group, or ``None`` when
         routing is disabled."""
         if self.router_policy is None:
             return None
         if self._router is None:
             self.build_router()
-        if group:
-            return self._router.nominate_group(queries, nprobe, recall_target)
-        return self._router.nominate(queries, nprobe, recall_target)
+        return self._router.nominate_group(query_descriptor_list, nprobe, recall_target)
 
     def _partition_routed(
         self, populated: list[ReplicaGroup], route: RouteDecision | None
@@ -945,41 +979,87 @@ class DistributedSearchSystem:
         nprobe: int | None = None,
         recall_target: float | None = None,
     ) -> ClusterSearchResult:
-        """Scatter the query to all serving nodes, gather and rank.
+        """Scatter the query to all serving nodes, gather and rank: the
+        group of one (see :meth:`search_group`)."""
+        return self._scatter_gather(
+            [query_descriptors], nprobe, recall_target, "cluster.search", _SEARCH_SINGLE
+        ).results[0]
+
+    def search_group(
+        self,
+        query_descriptor_list: list[np.ndarray],
+        nprobe: int | None = None,
+        recall_target: float | None = None,
+    ) -> ClusterGroupResult:
+        """Fused query-group scatter-gather (Sec. 5.3 applied
+        cluster-wide) — the serving tier's unit of work."""
+        if not query_descriptor_list:
+            return ClusterGroupResult()
+        return self._scatter_gather(
+            query_descriptor_list, nprobe, recall_target,
+            "cluster.search_group", _SEARCH_GROUP,
+        )
+
+    def _scatter_gather(
+        self,
+        query_descriptor_list: list[np.ndarray],
+        nprobe: int | None,
+        recall_target: float | None,
+        span_name: str,
+        search_counter,
+    ) -> ClusterGroupResult:
+        """Scatter a query group to all serving nodes, gather and rank.
+
+        The fan-out is *per group*, not per query: each shard answers
+        the group in one sweep per replica slice
+        (:meth:`SearchNode.search_many`, one RPC and one fault/health
+        gate per slice), and per-query results are gathered afterwards.
+        All queries share the group's completion time.  A single search
+        is the group of one.
 
         With a ``router_policy`` configured, the coarse routing tier
         first nominates candidate shards and per-shard candidate
-        references: only the nominated shards are fanned out to (the
+        references — for a group, the *union* of the per-query
+        nominations (:meth:`RouteDecision.merge`), and any member the
+        router could not route falls the whole group back to
+        exhaustive.  Only the nominated shards are fanned out to (the
         rest land in ``unrouted_shards`` — deliberate pruning, never
         ``partial``), and each nominated shard's engine restricts its
-        exact sweep to the nominated reference batches.  ``nprobe`` /
-        ``recall_target`` override the policy per request.  A router
-        that cannot nominate falls back to the exhaustive fan-out, and
-        a cluster without a policy is bit-identical to the pre-routing
-        system.
+        exact sweep to the nominated references.  ``nprobe`` /
+        ``recall_target`` override the policy per request.  A cluster
+        without a policy is bit-identical to the pre-routing system.
+
+        Read scaling: the group's queries are partitioned round-robin
+        into one slice per serving replica (at most one per query);
+        slices sweep concurrently, so the shard's time is the slowest
+        slice.  A replica's circuit breaker is consulted only when the
+        gather is about to send that replica a slice or fail over to
+        it.  A failed slice is retried on the next sibling; a shard
+        whose every allowed replica failed is reported unsearched.
 
         Nodes that are down, keep erroring, or exceed the per-attempt
-        timeout are skipped after bounded retries: the result comes back
-        ``partial=True`` with their shards listed in
-        ``unsearched_shards``.  If fewer than ``min_shard_fraction`` of
-        the *nominated* populated shards answered,
-        :class:`DegradedClusterError` is raised instead.  With
-        ``auto_failover`` enabled, nodes that went ``DOWN`` during the
-        gather are decommissioned afterwards and their shards
+        timeout are skipped after bounded retries: every query's result
+        comes back ``partial=True`` with their shards listed in its own
+        copy of ``unsearched_shards``.  If fewer than
+        ``min_shard_fraction`` of the *nominated* populated shards
+        answered, :class:`DegradedClusterError` is raised instead.
+        With ``auto_failover`` enabled, nodes that went ``DOWN`` during
+        the gather are decommissioned afterwards and their shards
         re-hydrated from the KV store onto the survivors.
         """
-        with _TRACER.span("cluster.search", layer="cluster") as span:
-            per_node: dict[str, SearchResult] = {}
-            matches: list[ImageMatch] = []
+        n_queries = len(query_descriptor_list)
+        with _TRACER.span(span_name, layer="cluster", queries=n_queries) as span:
+            per_query_matches: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
+            per_node_all: list[dict[str, SearchResult]] = [dict() for _ in range(n_queries)]
             epochs_seen: dict[str, int] = {}
+            per_query_images = [0] * n_queries
+            per_query_pruned = [0] * n_queries
+            per_query_cascade = [0] * n_queries
             slowest_us = 0.0
-            images = 0
             retries = 0
             unsearched: list[str] = []
-            route = self._route(
-                query_descriptors, group=False,
-                nprobe=nprobe, recall_target=recall_target,
-            )
+            truncated = False  # any node answered with a deadline-cut sweep
+            route = self._route(query_descriptor_list, nprobe, recall_target)
             populated = self._populated_groups()
             nominated, unrouted, routed = self._partition_routed(populated, route)
             targets, brownout_skipped = self._gather_targets(nominated)
@@ -996,172 +1076,28 @@ class DistributedSearchSystem:
                     frozenset(route.per_shard.get(group.shard_id, ()))
                     if routed else None
                 )
-                def op(n: SearchNode, c=candidates):
-                    r = n.search(query_descriptors, candidate_ids=c)
-                    return r, r.elapsed_us
-
-                readers = group.readers(self._clock_us())
-                result = None
-                shard_us = 0.0
-                attempted = 0
-                for i, replica in enumerate(readers):
-                    if replica.breaker is not None and not replica.breaker.allow():
-                        _BREAKER_SKIPS.inc()
-                        continue
-                    if attempted:
-                        # the chosen reader failed; retry transparently
-                        # on the next sibling before giving up the shard
-                        _REPLICA_RETRIES.inc()
-                    attempted += 1
-                    if fanout is not None:
-                        with fanout.branch():
-                            result, node_us, node_retries = self._attempt_with_retry(replica, op)
-                    else:
-                        result, node_us, node_retries = self._attempt_with_retry(replica, op)
-                    shard_us += node_us  # sibling failover is sequential
-                    retries += node_retries
-                    if result is not None:
-                        break
-                slowest_us = max(slowest_us, shard_us)
-                if result is None:
+                allowed = _AllowedReplicas(group.readers(self._clock_us()))
+                n_workers = len(allowed.take(n_queries))
+                if not n_workers:
                     unsearched.append(group.shard_id)
                     continue
-                per_node[group.shard_id] = result
-                epochs_seen[group.shard_id] = group.epoch
-                matches.extend(result.matches)
-                images += result.images_searched
-            if fanout is not None:
-                fanout.join()
-            unsearched.extend(brownout_skipped)
-            unsearched.extend(deadline_skipped)
-            if self.auto_failover:
-                self.repair()
-            self._record_gather(_SEARCH_SINGLE, retries, unsearched)
-            if routed:
-                hit = any(m.score > 0 for m in matches)
-                _ROUTER_HITS.labels(result="hit" if hit else "miss").inc()
-            images_pruned = sum(r.images_pruned for r in per_node.values())
-            cascade_pruned = sum(r.cascade_pruned for r in per_node.values())
-            if span is not None:
-                span.set(nodes=len(populated), retries=retries,
-                         unsearched=len(unsearched),
-                         unrouted=len(unrouted),
-                         sim_elapsed_us=slowest_us + WEB_TIER_OVERHEAD_US)
-            self._check_degradation(nominated, unsearched)
-        deadline_expired = bool(deadline_skipped) or any(
-            r.partial for r in per_node.values()
-        )
-        # standalone searches drive the simulated telemetry clock
-        # relatively (no-op under a serving loop's exclusive scope)
-        _ts_advance_by(slowest_us + WEB_TIER_OVERHEAD_US)
-        return ClusterSearchResult(
-            matches=matches,
-            per_node=per_node,
-            elapsed_us=slowest_us + WEB_TIER_OVERHEAD_US,
-            images_searched=images,
-            partial=bool(unsearched) or deadline_expired,
-            unsearched_shards=unsearched,
-            retries=retries,
-            deadline_expired=deadline_expired,
-            routed=routed,
-            unrouted_shards=unrouted,
-            images_pruned=images_pruned,
-            cascade_pruned=cascade_pruned,
-            corpus_epoch=epochs_seen,
-        )
-
-    def search_group(
-        self,
-        query_descriptor_list: list[np.ndarray],
-        nprobe: int | None = None,
-        recall_target: float | None = None,
-    ) -> ClusterGroupResult:
-        """Fused query-group scatter-gather (Sec. 5.3 applied
-        cluster-wide) — the serving tier's unit of work.
-
-        The fan-out is *per group*, not per query: each node answers
-        the whole group in one sweep (:meth:`SearchNode.search_many`,
-        one RPC and one fault/health gate per shard per group), and
-        per-query results are gathered afterwards.  All queries share
-        the group's completion time.  With a ``router_policy``, the
-        group's nomination is the *union* of the per-query nominations
-        (:meth:`RouteDecision.merge`) — the group shares one fan-out,
-        so it probes every member's candidates; any member the router
-        could not route falls the whole group back to exhaustive.
-        Fault handling matches :meth:`search` at group granularity: a
-        shard that dies mid-group leaves *every* query's result
-        ``partial``, each with its own copy of ``unsearched_shards``
-        (no shared mutable state between the per-query results).
-        """
-        if not query_descriptor_list:
-            return ClusterGroupResult()
-        n_queries = len(query_descriptor_list)
-        with _TRACER.span(
-            "cluster.search_group", layer="cluster", queries=n_queries,
-        ) as span:
-            per_query_matches: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
-            per_node_all: list[dict[str, SearchResult]] = [dict() for _ in range(n_queries)]
-            epochs_seen: dict[str, int] = {}
-            per_query_images = [0] * n_queries
-            per_query_pruned = [0] * n_queries
-            per_query_cascade = [0] * n_queries
-            slowest_us = 0.0
-            retries = 0
-            unsearched: list[str] = []
-            truncated = False  # any node answered with a deadline-cut sweep
-            route = self._route(
-                query_descriptor_list, group=True,
-                nprobe=nprobe, recall_target=recall_target,
-            )
-            populated = self._populated_groups()
-            nominated, unrouted, routed = self._partition_routed(populated, route)
-            targets, brownout_skipped = self._gather_targets(nominated)
-            deadline = current_deadline()
-            fanout = DeadlineFanOut(deadline) if deadline is not None else None
-            deadline_skipped: list[str] = []
-            if fanout is not None and fanout.expired_at_entry:
-                deadline_skipped = [group.shard_id for group in targets]
-                _DEADLINE_SKIPS.inc(len(deadline_skipped))
-                targets = []
-            for group in targets:
-                candidates = (
-                    frozenset(route.per_shard.get(group.shard_id, ()))
-                    if routed else None
-                )
-                # read scaling: the group's queries are partitioned
-                # round-robin across the shard's serving replicas, which
-                # sweep their slices concurrently — the shard's time is
-                # the slowest slice, not the whole group on one node
-                workers = []
-                for replica in group.readers(self._clock_us()):
-                    if replica.breaker is not None and not replica.breaker.allow():
-                        _BREAKER_SKIPS.inc()
-                        continue
-                    workers.append(replica)
-                if not workers:
-                    unsearched.append(group.shard_id)
-                    continue
-                n_workers = len(workers)
                 shard_us = 0.0
                 shard_results: dict[int, SearchResult] = {}
                 shard_failed = False
-                for w, replica in enumerate(workers):
+                for w in range(n_workers):
                     idxs = list(range(w, n_queries, n_workers))
-                    if not idxs:
-                        continue
                     queries = [query_descriptor_list[i] for i in idxs]
 
                     def op(n: SearchNode, q=queries, c=candidates):
                         grouped = n.search_many(q, candidate_ids=c)
-                        return grouped, max(r.elapsed_us for r in grouped)
+                        return grouped, grouped[0].elapsed_us
 
-                    # a failed slice is retried transparently on the
-                    # next sibling before the shard is given up
-                    chain = workers[w:] + workers[:w]
                     grouped = None
                     slice_us = 0.0
-                    for j, worker in enumerate(chain):
+                    for j, worker in enumerate(allowed.rotation(w)):
                         if j:
+                            # the chosen reader failed; retry transparently
+                            # on the next sibling before giving up the shard
                             _REPLICA_RETRIES.inc()
                         if fanout is not None:
                             with fanout.branch():
@@ -1197,7 +1133,7 @@ class DistributedSearchSystem:
             unsearched.extend(deadline_skipped)
             if self.auto_failover:
                 self.repair()
-            self._record_gather(_SEARCH_GROUP, retries, unsearched)
+            self._record_gather(search_counter, retries, unsearched)
             if routed:
                 for q in range(n_queries):
                     hit = any(m.score > 0 for m in per_query_matches[q])
@@ -1210,6 +1146,8 @@ class DistributedSearchSystem:
             self._check_degradation(nominated, unsearched)
         elapsed = slowest_us + WEB_TIER_OVERHEAD_US
         deadline_expired = bool(deadline_skipped) or truncated
+        # standalone searches drive the simulated telemetry clock
+        # relatively (no-op under a serving loop's exclusive scope)
         _ts_advance_by(elapsed)
         return ClusterGroupResult(
             results=[
@@ -1236,22 +1174,10 @@ class DistributedSearchSystem:
             deadline_expired=deadline_expired,
             routed=routed,
             unrouted_shards=list(unrouted),
-            images_pruned=max(per_query_pruned) if per_query_pruned else 0,
-            cascade_pruned=max(per_query_cascade) if per_query_cascade else 0,
+            images_pruned=max(per_query_pruned),
+            cascade_pruned=max(per_query_cascade),
             corpus_epoch=dict(epochs_seen),
         )
-
-    def search_many(
-        self,
-        query_descriptor_list: list[np.ndarray],
-        nprobe: int | None = None,
-        recall_target: float | None = None,
-    ) -> list[ClusterSearchResult]:
-        """Query-batched scatter-gather; per-query view of
-        :meth:`search_group` (kept for API compatibility)."""
-        return self.search_group(
-            query_descriptor_list, nprobe=nprobe, recall_target=recall_target
-        ).results
 
     # ------------------------------------------------------------------
     # health / failover

@@ -111,7 +111,7 @@ class TestAlgorithm2:
     def test_matches_algorithm1_per_image(self, p100):
         batch = self._rootsift_batch(4, 16, seed=20)
         query = rootsift(noisy_copy(make_descriptors(16, seed=20) , 30.0, seed=99))
-        result = knn_algorithm2(p100, batch, query, precision="fp32")
+        result = knn_algorithm2(p100, batch, query[None], precision="fp32")
         for i in range(4):
             exact = pairwise_distances(batch[i], query)
             expected = np.sort(exact, axis=0)[:2]
@@ -121,36 +121,39 @@ class TestAlgorithm2:
         scale = 0.25
         batch = self._rootsift_batch(3, 12, seed=30) * np.float32(scale)
         query = rootsift(make_descriptors(12, seed=30)) * np.float32(scale)
-        result = knn_algorithm2(p100, batch.astype(np.float16), query.astype(np.float16),
+        result = knn_algorithm2(p100, batch.astype(np.float16), query[None].astype(np.float16),
                                 scale=scale, precision="fp16")
         # image 0 contains the query's source features -> near-zero NN
         assert result.image(0).distances[0].max() < 0.1
 
     def test_unit_norm_identity_distance(self, p100):
         batch = self._rootsift_batch(1, 8, seed=40)
-        result = knn_algorithm2(p100, batch, batch[0], precision="fp32")
+        result = knn_algorithm2(p100, batch, batch[:1], precision="fp32")
         np.testing.assert_allclose(result.image(0).distances[0], 0.0, atol=1e-3)
         np.testing.assert_array_equal(result.image(0).indices[0], np.arange(8))
 
     def test_shapes(self, p100):
         batch = self._rootsift_batch(5, 10, seed=50)
         query = rootsift(make_descriptors(7, seed=60))
-        result = knn_algorithm2(p100, batch, query, precision="fp32")
-        assert result.distances.shape == (5, 2, 7)
+        result = knn_algorithm2(p100, batch, query[None], precision="fp32")
+        assert result.distances.shape == (5, 1, 2, 7)
         assert result.batch == 5
+        assert result.n_queries == 1
 
     def test_overflow_raises(self, p100):
         # unscaled 512-norm raw SIFT in the fp16 path must overflow
         batch = np.stack([make_descriptors(8, seed=70)])
         with pytest.raises(HalfPrecisionOverflowError):
-            knn_algorithm2(p100, batch.astype(np.float16), make_descriptors(8, seed=70),
+            knn_algorithm2(p100, batch.astype(np.float16), make_descriptors(8, seed=70)[None],
                            scale=1.0, precision="fp16")
 
     def test_validation(self, p100):
         with pytest.raises(ValueError, match="batch, d, m"):
-            knn_algorithm2(p100, np.ones((4, 4), np.float32), np.ones((4, 4), np.float32))
-        with pytest.raises(ValueError, match="does not match"):
-            knn_algorithm2(p100, np.ones((2, 4, 4), np.float32), np.ones((5, 3), np.float32))
+            knn_algorithm2(p100, np.ones((4, 4), np.float32), np.ones((1, 4, 4), np.float32))
+        with pytest.raises(ValueError, match="Q, d, n"):
+            knn_algorithm2(p100, np.ones((2, 4, 4), np.float32), np.ones((4, 3), np.float32))
+        with pytest.raises(ValueError, match="do not match"):
+            knn_algorithm2(p100, np.ones((2, 4, 4), np.float32), np.ones((1, 5, 3), np.float32))
         with pytest.raises(ValueError, match="precision"):
-            knn_algorithm2(p100, np.ones((2, 4, 4), np.float32), np.ones((4, 3), np.float32),
+            knn_algorithm2(p100, np.ones((2, 4, 4), np.float32), np.ones((1, 4, 3), np.float32),
                            precision="int8")

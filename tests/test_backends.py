@@ -90,12 +90,12 @@ class TestRegistry:
             canonical_backend("nope")
         assert "bespoke" not in str(excinfo.value)
 
-    def test_use_rootsift_is_a_deprecated_alias(self):
+    def test_backend_field_is_the_only_selector(self):
         assert resolve_backend(EngineConfig()) == "algorithm2"
-        assert resolve_backend(EngineConfig(use_rootsift=False)) == "algorithm1"
-        # an explicit backend wins over the legacy flag
-        explicit = EngineConfig(backend="opencv", precision="fp32", use_rootsift=True)
-        assert resolve_backend(explicit) == "opencv"
+        assert resolve_backend(EngineConfig(backend="algorithm1")) == "algorithm1"
+        # the removed use_rootsift alias is no longer a config field
+        with pytest.raises(TypeError):
+            EngineConfig(use_rootsift=False)
 
     def test_engine_reports_backend(self):
         assert TextureSearchEngine(cfg("garcia")).backend == "garcia"
@@ -257,11 +257,11 @@ class TestSweepExecutorRegressions:
         ]
 
     def test_search_many_accumulates_step_times(self):
-        """``search_many`` must feed the same per-step profile stats as
+        """``search_group`` must feed the same per-step profile stats as
         ``search`` so profile reports cover query-batched sweeps."""
         engine = TextureSearchEngine(cfg("algorithm2"))
         enrolled(engine)
-        engine.search_many([make_descriptors(M, seed=4300 + i) for i in range(3)])
+        engine.search_group([make_descriptors(M, seed=4300 + i) for i in range(3)])
         steps = engine.stats.step_times_us
         assert "GEMM" in steps and "Top-2 sort" in steps
         # the sweep's profile deltas equal the profiler's totals here

@@ -148,13 +148,38 @@ class TestDistributedStats:
         )
         assert all(n["cascade_prefilter"] for n in stats["nodes"])
 
-    def test_group_search_rejected_like_algorithm1(self):
-        # cascade inherits Algorithm 1's single-query pipeline; the
-        # engine must refuse fused groups rather than skip the prefilter
-        engine = build_engine()
-        enrolled(engine, count=4)
-        with pytest.raises(ValueError, match="multi-query"):
-            engine.search_group([make_descriptors(N, seed=1), make_descriptors(N, seed=2)])
+    def test_group_prefilter_is_per_query(self):
+        """Each query of a group keeps its own survivors; a host batch is
+        staged unless no query of the group keeps a slot in it."""
+        config = cfg()
+        one_batch = CascadeKernel.memory_per_image(config) * BATCH
+
+        def host_engine():
+            engine = TextureSearchEngine(
+                config, gpu_cache_bytes=one_batch, host_cache_bytes=10**9
+            )
+            descs = enrolled(engine)
+            assert engine.cache.host_batches == 2
+            return engine, descs
+
+        def h2d_bytes(engine, queries):
+            before = default_registry().value("repro_engine_h2d_bytes_total")
+            group = engine.search_group(queries)
+            return group, default_registry().value("repro_engine_h2d_bytes_total") - before
+
+        engine, descs = host_engine()
+        impostors = [make_descriptors(N, seed=s) for s in (9999, 4242)]
+        group, staged = h2d_bytes(engine, impostors)
+        assert staged == 0  # no query kept a slot anywhere
+        assert [r.cascade_pruned for r in group.results] == [len(descs)] * 2
+
+        query = noisy_copy(descs[1], SIGMA)
+        solo, solo_staged = h2d_bytes(host_engine()[0], [query])
+        mixed, mixed_staged = h2d_bytes(engine, [query, impostors[0]])
+        assert mixed_staged == solo_staged > 0
+        assert mixed.results[0].cascade_pruned == solo.results[0].cascade_pruned
+        assert mixed.results[1].cascade_pruned == len(descs)
+        assert mixed.results[0].best().reference_id == "ref1"
 
 
 class TestCacheAccounting:

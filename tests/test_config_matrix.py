@@ -10,12 +10,12 @@ from repro.gpusim import GPUDevice, get_device_spec
 from tests.conftest import make_descriptors, noisy_copy
 
 CONFIG_GRID = [
-    dict(precision="fp16", use_rootsift=True, sort_kind="scan"),
-    dict(precision="fp32", use_rootsift=True, sort_kind="scan"),
-    dict(precision="fp16", use_rootsift=False, sort_kind="scan"),
-    dict(precision="fp32", use_rootsift=False, sort_kind="scan"),
-    dict(precision="fp32", use_rootsift=False, sort_kind="insertion"),
-    dict(precision="fp16", use_rootsift=True, sort_kind="scan", normalization="l2"),
+    dict(precision="fp16", backend="algorithm2", sort_kind="scan"),
+    dict(precision="fp32", backend="algorithm2", sort_kind="scan"),
+    dict(precision="fp16", backend="algorithm1", sort_kind="scan"),
+    dict(precision="fp32", backend="algorithm1", sort_kind="scan"),
+    dict(precision="fp32", backend="algorithm1", sort_kind="insertion"),
+    dict(precision="fp16", backend="algorithm2", sort_kind="scan", normalization="l2"),
 ]
 
 
@@ -27,7 +27,7 @@ def descs():
 @pytest.mark.parametrize("overrides", CONFIG_GRID,
                          ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_every_configuration_identifies(descs, overrides):
-    scale = 2.0**-7 if not overrides.get("use_rootsift", True) else 0.25
+    scale = 2.0**-7 if overrides["backend"] == "algorithm1" else 0.25
     config = EngineConfig(m=32, n=32, batch_size=3, min_matches=5,
                           scale_factor=scale, **overrides)
     engine = TextureSearchEngine(config)

@@ -150,7 +150,7 @@ class TestCluster:
             system.add(f"r{i}", descs[i])
         assert sorted(n.n_references for n in system.nodes) == [1, 2, 2]
         queries = [noisy_copy(descs[0], 8.0, seed=21), noisy_copy(descs[3], 8.0, seed=22)]
-        grouped = system.search_many(queries)
+        grouped = system.search_group(queries).results
         for res in grouped:
             assert res.images_searched == 5
             assert sum(r.images_searched for r in res.per_node.values()) == 5

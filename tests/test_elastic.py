@@ -14,6 +14,7 @@ from repro.distributed import (
     Request,
     WebTier,
 )
+from repro.distributed.breaker import BreakerPolicy, BreakerState
 from repro.distributed.replica import (
     DRAIN_GRACE_US,
     WARMUP_BASE_US,
@@ -112,6 +113,30 @@ class TestReplicaGroups:
             assert all(not r.unsearched_shards for r in grouped.results)
         retries = default_registry().value("repro_cluster_replica_retries_total")
         assert retries > retries0
+
+    def test_group_of_one_counts_breaker_skips_like_search(self):
+        """A breaker is consulted only when its replica is about to get
+        work: the reader rotation puts the open replica first on every
+        other request, so ten requests count five skips either way."""
+
+        def skips(call):
+            system = DistributedSearchSystem(
+                1, CFG, replication_factor=2,
+                breaker_policy=BreakerPolicy(cooldown_ops=100),
+            )
+            for i in range(4):
+                system.add(f"r{i}", make_descriptors(32, seed=90 + i))
+            sick = system.groups["gpu-00"].nodes[1]
+            for _ in range(4):
+                sick.breaker.record_failure()
+            assert sick.breaker.state is BreakerState.OPEN
+            query = make_descriptors(32, seed=99)
+            for _ in range(10):
+                call(system, query)
+            return sick.breaker.total_skips
+
+        assert skips(lambda s, q: s.search(q)) == 5
+        assert skips(lambda s, q: s.search_group([q])) == 5
 
     def test_last_replica_cannot_be_removed(self):
         system, _ = build_system(replication=1)

@@ -52,9 +52,9 @@ class TestConfig:
             EngineConfig(**kwargs)
 
     def test_feature_matrix_bytes(self):
-        cfg = EngineConfig(m=384, precision="fp16", use_rootsift=True)
+        cfg = EngineConfig(m=384, precision="fp16", backend="algorithm2")
         assert cfg.feature_matrix_bytes() == 98304
-        cfg1 = EngineConfig(m=768, precision="fp32", use_rootsift=False)
+        cfg1 = EngineConfig(m=768, precision="fp32", backend="algorithm1")
         assert cfg1.feature_matrix_bytes() == 768 * 128 * 4 + 768 * 4
 
     def test_effective_scale(self):
@@ -103,7 +103,7 @@ class TestSearch:
 class TestAlgorithm1Path:
     def test_fp32_insertion(self):
         engine = TextureSearchEngine(
-            small_config(use_rootsift=False, precision="fp32", sort_kind="insertion")
+            small_config(backend="algorithm1", precision="fp32", sort_kind="insertion")
         )
         descs = enrolled(engine, 6)
         result = engine.search(noisy_copy(descs[1], 8.0, seed=10))
@@ -111,7 +111,7 @@ class TestAlgorithm1Path:
 
     def test_fp16_raw_sift(self):
         engine = TextureSearchEngine(
-            small_config(use_rootsift=False, precision="fp16", scale_factor=2.0**-7)
+            small_config(backend="algorithm1", precision="fp16", scale_factor=2.0**-7)
         )
         descs = enrolled(engine, 6)
         result = engine.search(noisy_copy(descs[1], 8.0, seed=11))
@@ -119,7 +119,7 @@ class TestAlgorithm1Path:
 
     def test_overflow_scale_raises_on_enroll(self):
         engine = TextureSearchEngine(
-            small_config(use_rootsift=False, precision="fp16", scale_factor=1.0)
+            small_config(backend="algorithm1", precision="fp16", scale_factor=1.0)
         )
         with pytest.raises(HalfPrecisionOverflowError):
             engine.add_reference("x", make_descriptors(48, seed=0))
@@ -138,7 +138,7 @@ class TestVerify:
         assert not same
 
     def test_verify_algorithm1(self):
-        engine = TextureSearchEngine(small_config(use_rootsift=False, precision="fp32"))
+        engine = TextureSearchEngine(small_config(backend="algorithm1", precision="fp32"))
         d = make_descriptors(48, seed=205)
         same, _ = engine.verify(d, noisy_copy(d, 8.0, seed=206))
         assert same

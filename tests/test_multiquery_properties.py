@@ -1,41 +1,12 @@
-"""Hypothesis properties for the multi-query kernel and FP16 blas."""
+"""Hypothesis properties for the FP16 blas (the multi-query kernel's
+fusion invariance lives in ``test_query_groups.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blas import batched_hgemm, hgemm
-from repro.core import knn_algorithm2, knn_algorithm2_multiquery
-from repro.features import rootsift
 from repro.gpusim import GPUDevice, TESLA_P100
-
-
-def unit_descs(count, d, seed):
-    rng = np.random.default_rng(seed)
-    raw = rng.gamma(0.6, 1.0, size=(d, count)).astype(np.float32)
-    return rootsift(raw)
-
-
-class TestMultiQueryProperties:
-    @given(
-        n_refs=st.integers(1, 4),
-        n_queries=st.integers(1, 3),
-        m=st.integers(2, 10),
-        n=st.integers(1, 8),
-        seed=st.integers(0, 100),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_multiquery_equals_per_query(self, n_refs, n_queries, m, n, seed):
-        device = GPUDevice(TESLA_P100)
-        refs = np.stack([unit_descs(m, 16, seed + i) for i in range(n_refs)])
-        queries = np.stack([unit_descs(n, 16, seed + 100 + q) for q in range(n_queries)])
-        multi = knn_algorithm2_multiquery(device, refs, queries, precision="fp32")
-        for q in range(n_queries):
-            single = knn_algorithm2(device, refs, queries[q], precision="fp32")
-            np.testing.assert_allclose(
-                multi.query(q).distances, single.distances, atol=1e-5
-            )
-            np.testing.assert_array_equal(multi.query(q).indices, single.indices)
 
 
 class TestHgemmProperties:

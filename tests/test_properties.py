@@ -101,7 +101,7 @@ class TestAlgorithmConsistency:
         ref = prepare_reference(base, "fp32")
         qry = prepare_query(p100, query_raw, "fp32")
         knn1 = knn_algorithm1(p100, ref, qry)
-        knn2 = knn_algorithm2(p100, base[None, ...], query_raw, precision="fp32").image(0)
+        knn2 = knn_algorithm2(p100, base[None, ...], query_raw[None, ...], precision="fp32").image(0)
         np.testing.assert_allclose(knn1.distances, knn2.distances, atol=5e-3)
         np.testing.assert_array_equal(knn1.indices, knn2.indices)
 

@@ -1,4 +1,5 @@
-"""Query batching: multi-query kernel, engine API, trade-off model."""
+"""Query batching: the fused multi-query kernel, engine API, trade-off
+model.  Per-query fusion invariance lives in ``test_query_groups.py``."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from repro.core import (
     EngineConfig,
     TextureSearchEngine,
     knn_algorithm2,
-    knn_algorithm2_multiquery,
     query_batch_tradeoff,
 )
 from repro.features import rootsift
@@ -22,23 +22,10 @@ def rootsift_batch(count, m, seed):
 
 
 class TestMultiQueryKernel:
-    def test_matches_single_query_runs(self, p100):
-        refs = rootsift_batch(3, 12, seed=0)
-        queries = np.stack([
-            rootsift(noisy_copy(make_descriptors(12, seed=0), 25.0, seed=50)),
-            rootsift(noisy_copy(make_descriptors(12, seed=1), 25.0, seed=51)),
-        ])
-        multi = knn_algorithm2_multiquery(p100, refs, queries, precision="fp32")
-        for q in range(2):
-            single = knn_algorithm2(p100, refs, queries[q], precision="fp32")
-            view = multi.query(q)
-            np.testing.assert_allclose(view.distances, single.distances, atol=1e-4)
-            np.testing.assert_array_equal(view.indices, single.indices)
-
     def test_single_fused_gemm(self, p100):
         refs = rootsift_batch(2, 8, seed=10)
         queries = rootsift_batch(4, 8, seed=20)
-        knn_algorithm2_multiquery(p100, refs, queries, precision="fp32")
+        knn_algorithm2(p100, refs, queries, precision="fp32")
         gemm = [r for r in p100.profiler.records() if r.name == "GEMM"]
         assert gemm[0].calls == 1
 
@@ -46,15 +33,15 @@ class TestMultiQueryKernel:
         scale = 0.25
         refs = (rootsift_batch(2, 8, seed=30) * scale).astype(np.float16)
         queries = (rootsift_batch(3, 8, seed=30) * scale).astype(np.float16)
-        result = knn_algorithm2_multiquery(p100, refs, queries, scale=scale, precision="fp16")
+        result = knn_algorithm2(p100, refs, queries, scale=scale, precision="fp16")
         assert result.n_queries == 3
         assert result.distances.shape == (2, 3, 2, 8)
 
     def test_validation(self, p100):
         with pytest.raises(ValueError, match="references"):
-            knn_algorithm2_multiquery(p100, np.ones((2, 4), np.float32), np.ones((1, 4, 4), np.float32))
+            knn_algorithm2(p100, np.ones((2, 4), np.float32), np.ones((1, 4, 4), np.float32))
         with pytest.raises(ValueError, match="dimension"):
-            knn_algorithm2_multiquery(p100, np.ones((1, 4, 4), np.float32), np.ones((1, 5, 4), np.float32))
+            knn_algorithm2(p100, np.ones((1, 4, 4), np.float32), np.ones((1, 5, 4), np.float32))
 
 
 class TestEngineSearchMany:
@@ -67,7 +54,7 @@ class TestEngineSearchMany:
             multi_engine.add_reference(f"r{i}", d)
             seq_engine.add_reference(f"r{i}", d)
         queries = [noisy_copy(descs[2], 8.0, seed=61), noisy_copy(descs[5], 8.0, seed=62)]
-        grouped = multi_engine.search_many(queries)
+        grouped = multi_engine.search_group(queries).results
         assert len(grouped) == 2
         assert grouped[0].best().reference_id == "r2"
         assert grouped[1].best().reference_id == "r5"
@@ -81,19 +68,29 @@ class TestEngineSearchMany:
         engine = TextureSearchEngine(cfg)
         for i in range(4):
             engine.add_reference(f"r{i}", make_descriptors(32, seed=700 + i))
-        results = engine.search_many([make_descriptors(32, seed=710 + i) for i in range(3)])
+        results = engine.search_group(
+            [make_descriptors(32, seed=710 + i) for i in range(3)]
+        ).results
         assert len({r.elapsed_us for r in results}) == 1  # one group time
 
-    def test_requires_rootsift(self):
+    def test_algorithm1_group_returns_per_query_results(self):
+        """A backend without a fused GEMM answers a group query by query."""
         engine = TextureSearchEngine(
-            EngineConfig(m=32, n=32, use_rootsift=False, precision="fp32", batch_size=4)
+            EngineConfig(m=32, n=32, backend="algorithm1", precision="fp32", batch_size=4)
         )
-        with pytest.raises(ValueError, match="RootSIFT"):
-            engine.search_many([make_descriptors(32, seed=1)])
+        descs = {i: make_descriptors(32, seed=900 + i) for i in range(6)}
+        for i, d in descs.items():
+            engine.add_reference(f"r{i}", d)
+        queries = [noisy_copy(descs[i], 8.0, seed=910 + i) for i in (4, 0, 2)]
+        group = engine.search_group(queries)
+        assert group.group_size == 3
+        assert [r.best().reference_id for r in group.results] == ["r4", "r0", "r2"]
+        assert all(len(r.matches) == 6 for r in group.results)
+        assert all(r.elapsed_us == group.elapsed_us for r in group.results)
 
     def test_empty_input(self):
         engine = TextureSearchEngine(EngineConfig(m=32, n=32, batch_size=4))
-        assert engine.search_many([]) == []
+        assert engine.search_group([]).results == []
 
     def test_respects_tombstones(self):
         cfg = EngineConfig(m=32, n=32, batch_size=2, scale_factor=0.25)
@@ -102,7 +99,7 @@ class TestEngineSearchMany:
         for i, d in descs.items():
             engine.add_reference(f"r{i}", d)
         engine.remove_reference("r1")
-        results = engine.search_many([noisy_copy(descs[1], 8.0, seed=81)])
+        results = engine.search_group([noisy_copy(descs[1], 8.0, seed=81)]).results
         assert all(m.reference_id != "r1" for m in results[0].matches)
 
 

@@ -247,25 +247,6 @@ class TestWorkloads:
 
 
 class TestEngineServing:
-    def test_group_of_one_bit_identical_to_search(self):
-        engine_a, descs = build_engine()
-        engine_b, _ = build_engine()
-        query = noisy_copy(descs[2], 8.0, seed=5)
-        single = engine_a.search(query, keep_masks=True)
-        group = engine_b.search_group([query], keep_masks=True)
-        assert group.group_size == 1
-        grouped = group.results[0]
-        assert grouped.elapsed_us == single.elapsed_us  # exact, not approx
-        assert grouped.images_searched == single.images_searched
-        assert len(grouped.matches) == len(single.matches)
-        for got, want in zip(grouped.matches, single.matches):
-            assert got.reference_id == want.reference_id
-            assert got.good_matches == want.good_matches
-            np.testing.assert_array_equal(got.match_mask, want.match_mask)
-            np.testing.assert_array_equal(
-                got.matched_reference_indices, want.matched_reference_indices
-            )
-
     def test_fused_group_shares_elapsed(self):
         engine, descs = build_engine()
         queries = [noisy_copy(descs[i], 8.0, seed=i) for i in range(4)]
