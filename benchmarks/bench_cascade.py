@@ -3,23 +3,15 @@ the wall-clock cost of one Hamming prefilter pass over a batch."""
 
 import numpy as np
 
-from conftest import attach_summary, record_result
 from repro.bench.experiments import cascade_bench
-from repro.bench.experiments.fault_tolerance import _make_descriptors, _noisy
+from repro.bench.experiments.common import make_descriptors, noisy
 from repro.core.cascade import CascadeKernel
 from repro.core.config import EngineConfig
 from repro.core.engine import TextureSearchEngine
 
 
-def test_cascade_sweep(benchmark):
-    result = cascade_bench.run(json_path="BENCH_cascade.json")
-    record_result(result)
-    attach_summary(benchmark, result)
-    benchmark.pedantic(
-        cascade_bench.run,
-        kwargs=dict(quick=True, json_path="BENCH_cascade.json"),
-        rounds=1, iterations=1,
-    )
+def test_cascade_sweep(bench_sweep):
+    result = bench_sweep(cascade_bench)
     # the acceptance bar: at default knobs on the largest corpus, the
     # verdicts are bit-equal to algorithm1 while >= 3x fewer descriptor
     # pairs reach the exact GEMM (prune cost charged, not free)
@@ -38,11 +30,11 @@ def test_prefilter_wallclock(benchmark):
         backend="cascade", precision="fp32",
     )
     engine = TextureSearchEngine(config, kernel=CascadeKernel(config))
-    descs = [_make_descriptors(rng, count=48) for _ in range(96)]
+    descs = [make_descriptors(rng, count=48) for _ in range(96)]
     for i, desc in enumerate(descs):
         engine.add_reference(f"r{i:04d}", desc)
     engine.flush()
-    query = _noisy(rng, descs[7])
+    query = noisy(rng, descs[7])
 
     result = benchmark(lambda: engine.search(query))
     assert result.best().reference_id == "r0007"

@@ -1,19 +1,11 @@
 """Elastic — static vs autoscaled fleets on a seeded diurnal trace,
 plus the flash-crowd reaction and the mid-stream replica kill."""
 
-from conftest import attach_summary, record_result
 from repro.bench.experiments import elastic_bench
 
 
-def test_elastic_fleets(benchmark):
-    result = elastic_bench.run(json_path="BENCH_elastic.json")
-    record_result(result)
-    attach_summary(benchmark, result)
-    benchmark.pedantic(
-        elastic_bench.run,
-        kwargs=dict(quick=True, json_path="BENCH_elastic.json"),
-        rounds=1, iterations=1,
-    )
+def test_elastic_fleets(bench_sweep):
+    result = bench_sweep(elastic_bench)
     # the acceptance bar: the autoscaled fleet holds goodput within 5%
     # of the peak-sized static fleet at strictly fewer node-seconds ...
     assert result.summary["elastic_within_5pct_of_peak"] is True

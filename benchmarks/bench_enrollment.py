@@ -3,23 +3,15 @@ plus the host-side cost of one online enrollment into a live cluster."""
 
 import numpy as np
 
-from conftest import attach_summary, record_result
 from repro.bench.experiments import enrollment_bench
-from repro.bench.experiments.fault_tolerance import _make_descriptors
+from repro.bench.experiments.common import make_descriptors
 from repro.core.config import EngineConfig
 from repro.distributed import DistributedSearchSystem
 from repro.routing import RouterPolicy
 
 
-def test_enrollment_sweep(benchmark):
-    result = enrollment_bench.run(json_path="BENCH_enrollment.json")
-    record_result(result)
-    attach_summary(benchmark, result)
-    benchmark.pedantic(
-        enrollment_bench.run,
-        kwargs=dict(quick=True, json_path="BENCH_enrollment.json"),
-        rounds=1, iterations=1,
-    )
+def test_enrollment_sweep(bench_sweep):
+    result = bench_sweep(enrollment_bench)
     # the acceptance bar: at equal offered load, mixing enrollments
     # into the trace degrades search p99 by < 20% vs search-only ...
     assert result.summary["meets_bar"] is True
@@ -42,9 +34,9 @@ def test_enrollment_kernel(benchmark):
         router_policy=RouterPolicy(kind="ivf", n_lists=12, seed=0),
     )
     for i in range(96):
-        system.add(f"r{i:04d}", _make_descriptors(rng, count=config.n, d=config.d))
+        system.add(f"r{i:04d}", make_descriptors(rng, count=config.n, d=config.d))
     system.build_router()
-    desc = _make_descriptors(rng, count=config.n, d=config.d)
+    desc = make_descriptors(rng, count=config.n, d=config.d)
 
     counter = iter(range(10**9))
 

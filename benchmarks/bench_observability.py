@@ -1,20 +1,12 @@
 """Observability — instrumentation overhead on the fused sweep path,
 plus the wall-clock cost of the metrics/tracing primitives themselves."""
 
-from conftest import attach_summary, record_result
 from repro.bench.experiments import observability
 from repro.obs import MetricsRegistry, RequestTracer
 
 
-def test_observability_overhead(benchmark):
-    result = observability.run(json_path="BENCH_observability.json")
-    record_result(result)
-    attach_summary(benchmark, result)
-    benchmark.pedantic(
-        observability.run,
-        kwargs=dict(repeats=2, json_path="BENCH_observability.json"),
-        rounds=1, iterations=1,
-    )
+def test_observability_overhead(bench_sweep):
+    result = bench_sweep(observability, repeats=2)
     # the acceptance bar: full instrumentation must stay under 5%
     # wall-clock overhead on the hot sweep path
     assert result.summary["within_budget"], result.summary

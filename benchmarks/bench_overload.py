@@ -3,7 +3,6 @@ wall-clock cost of the protected serving loop at 4x offered load."""
 
 import numpy as np
 
-from conftest import attach_summary, record_result
 from repro.bench.experiments import overload_bench
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.serving import (
@@ -15,15 +14,8 @@ from repro.serving import (
 )
 
 
-def test_overload_sweep(benchmark):
-    result = overload_bench.run(json_path="BENCH_overload.json")
-    record_result(result)
-    attach_summary(benchmark, result)
-    benchmark.pedantic(
-        overload_bench.run,
-        kwargs=dict(quick=True, json_path="BENCH_overload.json"),
-        rounds=1, iterations=1,
-    )
+def test_overload_sweep(bench_sweep):
+    result = bench_sweep(overload_bench)
     # the acceptance bar: goodput under admission control must plateau
     # (within 10% of its peak) at 4x offered capacity, not collapse
     assert result.summary["goodput_plateaus"] is True

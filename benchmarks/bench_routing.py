@@ -3,21 +3,13 @@ the wall-clock cost of one IVF nomination in front of the scatter."""
 
 import numpy as np
 
-from conftest import attach_summary, record_result
 from repro.bench.experiments import routing_bench
-from repro.bench.experiments.fault_tolerance import _make_descriptors, _noisy
+from repro.bench.experiments.common import make_descriptors, noisy
 from repro.routing import RouterPolicy, build_router
 
 
-def test_routing_sweep(benchmark):
-    result = routing_bench.run(json_path="BENCH_routing.json")
-    record_result(result)
-    attach_summary(benchmark, result)
-    benchmark.pedantic(
-        routing_bench.run,
-        kwargs=dict(quick=True, json_path="BENCH_routing.json"),
-        rounds=1, iterations=1,
-    )
+def test_routing_sweep(bench_sweep):
+    result = bench_sweep(routing_bench)
     # the acceptance bar: >= 5x fewer references swept at >= 0.95
     # recall@1 vs exhaustive on the largest benched corpus ...
     assert result.summary["meets_reduction_bar"] is True
@@ -33,11 +25,11 @@ def test_nomination_kernel(benchmark):
     """Wall-clock of one IVF nomination over a 480-image corpus."""
     rng = np.random.default_rng(0)
     router = build_router(RouterPolicy(kind="ivf", n_lists=48, seed=0))
-    descs = [_make_descriptors(rng, count=32) for _ in range(480)]
+    descs = [make_descriptors(rng, count=32) for _ in range(480)]
     for i, desc in enumerate(descs):
         router.add(f"r{i:04d}", desc, f"node-{i % 6}")
     router.fit()
-    query = _noisy(rng, descs[7])
+    query = noisy(rng, descs[7])
 
     decision = benchmark(lambda: router.nominate(query, nprobe=1))
     assert not decision.exhaustive

@@ -3,7 +3,6 @@ fused group through the serving event loop."""
 
 import numpy as np
 
-from conftest import attach_summary, record_result
 from repro.bench.experiments import serving_bench
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.serving import (
@@ -15,15 +14,8 @@ from repro.serving import (
 )
 
 
-def test_serving_sweep(benchmark):
-    result = serving_bench.run(json_path="BENCH_serving.json")
-    record_result(result)
-    attach_summary(benchmark, result)
-    benchmark.pedantic(
-        serving_bench.run,
-        kwargs=dict(quick=True, json_path="BENCH_serving.json"),
-        rounds=1, iterations=1,
-    )
+def test_serving_sweep(bench_sweep):
+    result = bench_sweep(serving_bench)
     # the acceptance bar: batching must strictly beat per-query serving
     # once four queries contend for the device
     assert result.summary["fused_speedup_at_conc4"] > 1.0

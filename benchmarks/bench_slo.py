@@ -1,7 +1,6 @@
 """SLO — burn-rate alerting on the overload trace, plus the wall-clock
 cost of one telemetry scrape + SLO evaluation against a live registry."""
 
-from conftest import attach_summary, record_result
 from repro.bench.experiments import slo_bench
 from repro.obs import (
     BurnRateRule,
@@ -14,15 +13,8 @@ from repro.obs import (
 )
 
 
-def test_slo_alerting(benchmark):
-    result = slo_bench.run(json_path="BENCH_slo.json")
-    record_result(result)
-    attach_summary(benchmark, result)
-    benchmark.pedantic(
-        slo_bench.run,
-        kwargs=dict(quick=True, json_path="BENCH_slo.json"),
-        rounds=1, iterations=1,
-    )
+def test_slo_alerting(bench_sweep):
+    result = bench_sweep(slo_bench)
     # the acceptance bar: on the unprotected overload replay the burn-rate
     # alert must reach CRITICAL before goodput collapses ...
     assert result.summary["critical_fired"] is True

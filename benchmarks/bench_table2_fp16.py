@@ -12,7 +12,7 @@ from repro.data import SyntheticFeatureModel
 
 
 def test_table2_rows(benchmark):
-    result = table2_fp16.run(with_accuracy=not QUICK)
+    result = table2_fp16.run(quick=QUICK)
     record_result(result)
     attach_summary(benchmark, result)
     # shape assertions
@@ -25,7 +25,7 @@ def test_table2_rows(benchmark):
     assert deep > plateau
     benchmark.pedantic(
         table2_fp16.run,
-        kwargs=dict(n_pairs=2, n_bricks=4, with_accuracy=False,
+        kwargs=dict(n_pairs=2, n_bricks=4, quick=True,
                     scales=[2.0**-2, 2.0**-7]),
         rounds=1, iterations=1,
     )

@@ -14,7 +14,7 @@ from repro.data import build_feature_dataset
 
 
 def test_table7_rows(benchmark):
-    result = table7_asymmetric.run(with_accuracy=not QUICK)
+    result = table7_asymmetric.run(quick=QUICK)
     record_result(result)
     attach_summary(benchmark, result)
     speeds = {(row[0], row[1]): row[3] for row in result.rows}
@@ -26,7 +26,7 @@ def test_table7_rows(benchmark):
         assert acc[(384, 384)] < acc[(384, 768)] + 1e-9    # n-cut hurts
         assert acc[(256, 768)] < acc[(384, 768)] + 1e-9    # m=256 knee
     benchmark.pedantic(
-        table7_asymmetric.run, kwargs=dict(with_accuracy=False),
+        table7_asymmetric.run, kwargs=dict(quick=True),
         rounds=1, iterations=1,
     )
 

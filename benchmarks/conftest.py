@@ -46,6 +46,27 @@ def attach_summary(benchmark, result) -> None:
         )
 
 
+@pytest.fixture
+def bench_sweep(benchmark, tmp_path):
+    """Run a ``BENCH_*.json`` experiment in full mode, writing its file to
+    the working directory, record its table and summary, and time one
+    rerun (``quick=True`` unless other kwargs are given) whose JSON goes
+    under ``tmp_path`` so it cannot overwrite the full-mode file."""
+
+    def sweep(module, **rerun_kwargs):
+        result = module.run()
+        record_result(result)
+        attach_summary(benchmark, result)
+        benchmark.pedantic(
+            module.run,
+            kwargs=dict(rerun_kwargs or {"quick": True}, json_path=tmp_path / "rerun.json"),
+            rounds=1, iterations=1,
+        )
+        return result
+
+    return sweep
+
+
 @pytest.fixture(scope="session")
 def sift_descriptors():
     """A realistic (d, 768) SIFT descriptor matrix for kernel benches."""

@@ -31,7 +31,6 @@ least the same factor.  Results land in ``BENCH_cascade.json``
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from ...core.cascade import CascadeKernel
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
+from .common import make_descriptors, noisy, write_bench
 
 __all__ = ["run"]
 
@@ -105,15 +104,15 @@ def run(
     rng = np.random.default_rng(seed)
     for corpus in corpus_sizes:
         refs = {
-            f"r{i:04d}": _make_descriptors(rng, count=base_cfg.n, d=base_cfg.d)
+            f"r{i:04d}": make_descriptors(rng, count=base_cfg.n, d=base_cfg.d)
             for i in range(corpus)
         }
         matched_ids = [
             f"r{int(i):04d}" for i in rng.integers(0, corpus, size=n_matched)
         ]
-        queries = [("matched", qid, _noisy(rng, refs[qid])) for qid in matched_ids]
+        queries = [("matched", qid, noisy(rng, refs[qid])) for qid in matched_ids]
         queries += [
-            ("impostor", None, _make_descriptors(rng, count=base_cfg.n, d=base_cfg.d))
+            ("impostor", None, make_descriptors(rng, count=base_cfg.n, d=base_cfg.d))
             for _ in range(n_impostor)
         ]
 
@@ -232,6 +231,5 @@ def run(
         "grid": cells,
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full grid written to {json_path}")
+    write_bench(json_path, payload, result)
     return result

@@ -28,7 +28,6 @@ clock, no timestamps).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,7 @@ from ...serving import (
     simulate_serving,
 )
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
+from .common import make_descriptors, noisy, write_bench
 
 __all__ = ["run"]
 
@@ -84,7 +83,7 @@ def _build_requests(
     payloads: list = [None] * n_total
     for k, slot in enumerate(mut_slots):
         new_id = f"new{k:04d}"
-        desc = _make_descriptors(rng, count=config.n, d=config.d)
+        desc = make_descriptors(rng, count=config.n, d=config.d)
         new_descs[new_id] = desc
         enrolled[slot] = new_id
         payloads[slot] = ("enroll", new_id, desc)
@@ -99,14 +98,14 @@ def _build_requests(
             continue
         probe = later[min(2, len(later) - 1)]
         probes[probe] = new_id
-        payloads[probe] = _noisy(rng, new_descs[new_id])
+        payloads[probe] = noisy(rng, new_descs[new_id])
 
     searches: dict[int, str] = {}
     for i in range(n_total):
         if payloads[i] is None:
             qid = base_ids[int(rng.integers(0, len(base_ids)))]
             searches[i] = qid
-            payloads[i] = _noisy(rng, base_refs[qid])
+            payloads[i] = noisy(rng, base_refs[qid])
     return payloads, enrolled, probes, searches
 
 
@@ -124,7 +123,7 @@ def run(
 
     rng = np.random.default_rng(seed)
     base_refs = {
-        f"r{i:04d}": _make_descriptors(rng, count=config.n, d=config.d)
+        f"r{i:04d}": make_descriptors(rng, count=config.n, d=config.d)
         for i in range(corpus)
     }
     # the SAME arrival times in every row: equal offered load, only the
@@ -263,6 +262,5 @@ def run(
         "grid": cells,
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full grid written to {json_path}")
+    write_bench(json_path, payload, result)
     return result

@@ -26,22 +26,9 @@ from ...core.config import EngineConfig
 from ...distributed.cluster import DistributedSearchSystem, RetryPolicy
 from ...distributed.faults import FaultInjector, FaultSpec
 from ..tables import ExperimentResult
+from .common import make_descriptors, noisy
 
 __all__ = ["run"]
-
-
-def _make_descriptors(rng: np.random.Generator, count: int = 32, d: int = 128) -> np.ndarray:
-    desc = rng.gamma(0.6, 1.0, size=(d, count)).astype(np.float32)
-    desc /= np.linalg.norm(desc, axis=0, keepdims=True)
-    desc = np.minimum(desc, 0.2)
-    desc /= np.linalg.norm(desc, axis=0, keepdims=True)
-    return (desc * 512.0).astype(np.float32)
-
-
-def _noisy(rng: np.random.Generator, desc: np.ndarray, sigma: float = 8.0) -> np.ndarray:
-    out = np.maximum(desc + rng.normal(0, sigma, desc.shape).astype(np.float32), 0)
-    norms = np.maximum(np.linalg.norm(out, axis=0, keepdims=True), 1e-9)
-    return (out / norms * 512.0).astype(np.float32)
 
 
 def run(
@@ -53,9 +40,9 @@ def run(
 ) -> ExperimentResult:
     config = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
     rng = np.random.default_rng(seed)
-    refs = {i: _make_descriptors(rng) for i in range(n_refs)}
+    refs = {i: make_descriptors(rng) for i in range(n_refs)}
     query_ids = [int(i) for i in rng.integers(0, n_refs, size=n_queries)]
-    queries = [_noisy(rng, refs[i]) for i in query_ids]
+    queries = [noisy(rng, refs[i]) for i in query_ids]
 
     # no-fault baseline answers (ground truth for recall@1)
     baseline_system = DistributedSearchSystem(n_nodes, config)

@@ -24,19 +24,16 @@ the device clock — and the experiment asserts that.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from pathlib import Path
-
-import numpy as np
 
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
 from ...gpusim import TimelineTracer
 from ...obs import default_registry, default_tracer
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
+from .common import make_workload, write_bench
 
 __all__ = ["run"]
 
@@ -62,16 +59,7 @@ def run(
     seed: int = 0,
 ) -> ExperimentResult:
     config = EngineConfig(m=64, n=128, batch_size=8, min_matches=5, scale_factor=0.25)
-    rng = np.random.default_rng(seed)
-    refs = {
-        f"r{i}": _make_descriptors(rng, count=config.n, d=config.d)
-        for i in range(n_refs)
-    }
-    ref_list = list(refs.values())
-    queries = [
-        _noisy(rng, ref_list[int(rng.integers(0, n_refs))])
-        for _ in range(group_size)
-    ]
+    refs, queries = make_workload(seed, n_refs, group_size, config)
 
     engine = TextureSearchEngine(config)
     for ref_id, desc in refs.items():
@@ -159,6 +147,5 @@ def run(
         "sweep_ms": {k: round(v * 1e3, 3) for k, v in timings.items()},
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"timings written to {json_path}")
+    write_bench(json_path, payload, result, label="timings")
     return result

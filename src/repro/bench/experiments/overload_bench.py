@@ -25,10 +25,7 @@ workload, simulated clock, no timestamps).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-
-import numpy as np
 
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
@@ -40,7 +37,7 @@ from ...serving import (
     simulate_serving,
 )
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
+from .common import make_workload, write_bench
 
 __all__ = ["run"]
 
@@ -49,20 +46,6 @@ _SLO_GROUPS = 4.0
 
 #: admission-queue bound for the protected configuration, in groups.
 _QUEUE_GROUPS = 2
-
-
-def _make_workload(
-    n_refs: int, n_queries: int, seed: int, config: EngineConfig
-) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
-    rng = np.random.default_rng(seed)
-    refs = {f"r{i}": _make_descriptors(rng, count=config.n, d=config.d)
-            for i in range(n_refs)}
-    ref_list = list(refs.values())
-    queries = [
-        _noisy(rng, ref_list[int(rng.integers(0, n_refs))])
-        for _ in range(n_queries)
-    ]
-    return refs, queries
 
 
 def _calibrate(executor, queries, max_batch: int) -> float:
@@ -82,7 +65,7 @@ def run(
     n_queries = 48 if quick else 160
     multipliers = (0.5, 1.0, 4.0) if quick else (0.5, 1.0, 2.0, 4.0)
 
-    refs, queries = _make_workload(n_refs, n_queries, seed, config)
+    refs, queries = make_workload(seed, n_refs, n_queries, config)
     engine = TextureSearchEngine(config)
     for ref_id, desc in refs.items():
         engine.add_reference(ref_id, desc)
@@ -194,6 +177,5 @@ def run(
         "grid": cells,
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full grid written to {json_path}")
+    write_bench(json_path, payload, result)
     return result

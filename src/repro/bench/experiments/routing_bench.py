@@ -30,7 +30,6 @@ clock, no timestamps).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from ...distributed.cluster import DistributedSearchSystem
 from ...routing import RouterPolicy
 from ...routing.router import _OVERHEAD_US
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
+from .common import make_descriptors, noisy, write_bench
 
 __all__ = ["run"]
 
@@ -102,11 +101,11 @@ def run(
     rng = np.random.default_rng(seed)
     for corpus in corpus_sizes:
         refs = {
-            f"r{i:04d}": _make_descriptors(rng, count=config.n, d=config.d)
+            f"r{i:04d}": make_descriptors(rng, count=config.n, d=config.d)
             for i in range(corpus)
         }
         query_ids = [f"r{int(i):04d}" for i in rng.integers(0, corpus, size=n_queries)]
-        queries = [_noisy(rng, refs[qid]) for qid in query_ids]
+        queries = [noisy(rng, refs[qid]) for qid in query_ids]
 
         # Router-less baseline: the pre-routing exhaustive scatter-gather.
         exhaustive = _build_cluster(refs, config, n_nodes, None)
@@ -224,6 +223,5 @@ def run(
         "grid": cells,
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full grid written to {json_path}")
+    write_bench(json_path, payload, result)
     return result

@@ -24,10 +24,7 @@ seeded workload).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-
-import numpy as np
 
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
@@ -44,7 +41,7 @@ from ...serving import (
     simulate_serving,
 )
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
+from .common import make_workload, write_bench
 
 __all__ = ["run"]
 
@@ -52,20 +49,6 @@ __all__ = ["run"]
 #: process) is the bottleneck at concurrency >= 2, so throughput
 #: differences between policies are visible in the makespan.
 _INTERVAL_US = 2_000.0
-
-
-def _make_workload(
-    n_refs: int, n_queries: int, seed: int, config: EngineConfig
-) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
-    rng = np.random.default_rng(seed)
-    refs = {f"r{i}": _make_descriptors(rng, count=config.n, d=config.d)
-            for i in range(n_refs)}
-    ref_list = list(refs.values())
-    queries = [
-        _noisy(rng, ref_list[int(rng.integers(0, n_refs))])
-        for _ in range(n_queries)
-    ]
-    return refs, queries
 
 
 def _row(tier: str, concurrency: int, policy: BatchPolicy, report) -> list:
@@ -100,7 +83,7 @@ def run(
     )
 
     max_queries = max(concurrencies) * n_bursts
-    refs, queries = _make_workload(n_refs, max_queries, seed, config)
+    refs, queries = make_workload(seed, n_refs, max_queries, config)
 
     engine = TextureSearchEngine(config)
     for ref_id, desc in refs.items():
@@ -190,6 +173,5 @@ def run(
         "grid": cells,
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full grid written to {json_path}")
+    write_bench(json_path, payload, result)
     return result

@@ -34,7 +34,6 @@ simulated clock, alert timeline a pure function of the trace).
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from pathlib import Path
@@ -69,8 +68,8 @@ from ...serving import (
     simulate_serving,
 )
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
-from .overload_bench import _calibrate, _make_workload
+from .common import make_descriptors, make_workload, noisy, write_bench
+from .overload_bench import _calibrate
 
 __all__ = ["run"]
 
@@ -250,7 +249,7 @@ def run(
     n_queries = 96 if quick else 240
     overhead_repeats = 7 if quick else 12
 
-    refs, queries = _make_workload(n_refs, n_queries, seed, config)
+    refs, queries = make_workload(seed, n_refs, n_queries, config)
     engine = TextureSearchEngine(config)
     for ref_id, desc in refs.items():
         engine.add_reference(ref_id, desc)
@@ -360,9 +359,9 @@ def run(
     rng = np.random.default_rng(seed + 1)
     system = DistributedSearchSystem(2, config)
     for i in range(n_refs):
-        system.add(f"c{i}", _make_descriptors(rng, count=config.n, d=config.d))
+        system.add(f"c{i}", make_descriptors(rng, count=config.n, d=config.d))
     cluster_queries = [
-        _noisy(rng, _make_descriptors(rng, count=config.n, d=config.d))
+        noisy(rng, make_descriptors(rng, count=config.n, d=config.d))
         for _ in range(max_batch)
     ]
     warm = system.search_group(cluster_queries)
@@ -480,6 +479,5 @@ def run(
         },
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full timeline written to {json_path}")
+    write_bench(json_path, payload, result, label="full timeline")
     return result

@@ -73,7 +73,7 @@ def run(
     m: int = 768,
     n: int = 768,
     seed: int = 0,
-    with_accuracy: bool = True,
+    quick: bool = False,
 ) -> ExperimentResult:
     scales = scales if scales is not None else list(DEFAULT_SCALES)
     model = SyntheticFeatureModel(seed=seed)
@@ -91,7 +91,7 @@ def run(
         except HalfPrecisionOverflowError:
             errors[scale] = "overflow"
 
-    if with_accuracy:
+    if not quick:
         accuracy, fp32_acc = _accuracy_at(scales, n_bricks, m, n, seed)
     else:
         accuracy, fp32_acc = {s: "-" for s in scales}, float("nan")

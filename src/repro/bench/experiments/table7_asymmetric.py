@@ -53,7 +53,7 @@ def run(
     d: int = 128,
     n_bricks: int = 40,
     queries_per_brick: int = 1,
-    with_accuracy: bool = True,
+    quick: bool = False,
     seed: int = 0,
 ) -> ExperimentResult:
     grid = grid if grid is not None else list(DEFAULT_GRID)
@@ -71,7 +71,7 @@ def run(
         steps = algorithm2_steps(spec, cal, m, n, d, batch, "fp16")
         speed = chain_speed(steps, batch)
         speeds[(m, n)] = speed
-        if with_accuracy:
+        if not quick:
             dataset = build_feature_dataset(
                 n_bricks, m, n, queries_per_brick=queries_per_brick,
                 model=model, seed=seed,
@@ -93,7 +93,7 @@ def run(
 
     if (768, 768) in speeds and (384, 768) in speeds:
         result.summary["speed_gain_384_768"] = speeds[(384, 768)] / speeds[(768, 768)] - 1.0
-        if with_accuracy:
+        if not quick:
             result.summary["accuracy_loss_384_768"] = (
                 accuracies[(768, 768)] - accuracies[(384, 768)]
             )

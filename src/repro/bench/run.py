@@ -5,15 +5,20 @@ Regenerate any of the paper's tables/figures from a shell::
     python -m repro.bench.run table1            # one experiment
     python -m repro.bench.run fig4 table6       # several
     python -m repro.bench.run all               # everything
-    python -m repro.bench.run all --quick       # skip accuracy sweeps
+    python -m repro.bench.run all --quick       # reduced grids, no accuracy sweeps
     python -m repro.bench.run table7 --bricks 80 --queries 2
 
-Exit code is non-zero if any requested experiment raises.
+An option reaches every requested experiment whose ``run()`` takes the
+matching parameter (``--quick`` -> ``quick``, ``--bricks`` ->
+``n_bricks``, ``--queries`` -> ``queries_per_brick``, ``--backend`` ->
+``backends``) and no other.  Exit code is non-zero if any requested
+experiment raises.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
@@ -21,8 +26,13 @@ from .experiments import ALL_EXPERIMENTS
 
 __all__ = ["main", "build_parser"]
 
-#: experiments whose runtime is dominated by functional accuracy sweeps.
-_ACCURACY_EXPERIMENTS = {"table2", "table7"}
+#: CLI option -> the ``run()`` parameter it fills.
+_RUN_PARAMS = {
+    "quick": "quick",
+    "bricks": "n_bricks",
+    "queries": "queries_per_brick",
+    "backend": "backends",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,13 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="skip the functional accuracy sweeps (Tables 2 and 7 accuracy columns)",
+        help="reduced grids: every experiment that takes 'quick' runs its "
+        "smoke-sized grid (Tables 2 and 7 skip their accuracy sweeps)",
     )
     parser.add_argument(
         "--bricks",
         type=int,
         default=None,
-        help="dataset size for the accuracy sweeps (default: experiment default)",
+        help="dataset size for the experiments that take n_bricks "
+        "(Tables 2 and 7, the dataset ablations; default: experiment default)",
     )
     parser.add_argument(
         "--queries",
@@ -72,20 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kwargs_for(name: str, args: argparse.Namespace) -> dict:
-    kwargs: dict = {}
-    if name in _ACCURACY_EXPERIMENTS:
-        if args.quick:
-            kwargs["with_accuracy"] = False
-        if args.bricks is not None:
-            kwargs["n_bricks"] = args.bricks
-        if name == "table7" and args.queries is not None:
-            kwargs["queries_per_brick"] = args.queries
-    if name == "backends" and args.backend:
-        kwargs["backends"] = args.backend
-    if name in ("serving", "overload", "routing", "cascade", "slo", "elastic") and args.quick:
-        kwargs["quick"] = True
-    return kwargs
+def _kwargs_for(run, args: argparse.Namespace) -> dict:
+    """The given CLI options whose parameter ``run`` takes."""
+    params = inspect.signature(run).parameters
+    return {
+        param: getattr(args, option)
+        for option, param in _RUN_PARAMS.items()
+        if param in params and getattr(args, option) not in (None, False)
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,7 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         started = time.perf_counter()
         try:
-            result = ALL_EXPERIMENTS[name].run(**_kwargs_for(name, args))
+            run = ALL_EXPERIMENTS[name].run
+            result = run(**_kwargs_for(run, args))
         except Exception as exc:  # surface, keep going
             failures += 1
             print(f"[{name}] FAILED: {exc}", file=sys.stderr)

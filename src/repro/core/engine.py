@@ -239,10 +239,13 @@ class TextureSearchEngine:
         Re-adding an existing id is an *update*: the old slot is
         tombstoned and the new matrix appended.
         """
-        ref_id = str(ref_id)
+        matrix, norms = self.prepare_reference_matrix(descriptors)
+        self._enrol(str(ref_id), matrix, norms)
+
+    def _enrol(self, ref_id: str, matrix: np.ndarray, norms: np.ndarray | None) -> None:
+        """Append one prepared matrix; an enrolled ``ref_id`` is updated."""
         if ref_id in self._locations:
             self.remove_reference(ref_id)
-        matrix, norms = self.prepare_reference_matrix(descriptors)
         aux = self.kernel.reference_aux(matrix) if self.kernel.needs_aux else None
         self._locations[ref_id] = (None, self._builder.pending)
         flushed = self._builder.add(ref_id, matrix, norms, aux)
@@ -284,7 +287,6 @@ class TextureSearchEngine:
         them would corrupt them (RootSIFT is not idempotent).
         """
         cfg = self.config
-        ref_id = str(ref_id)
         matrix = np.asarray(matrix)
         if matrix.shape != (cfg.d, cfg.m):
             raise ValueError(f"prepared matrix must be ({cfg.d}, {cfg.m}), got {matrix.shape}")
@@ -293,14 +295,7 @@ class TextureSearchEngine:
             raise ValueError(f"prepared matrix must be {expected}, got {matrix.dtype}")
         if self.kernel.needs_norms and norms is None:
             raise ValueError(f"backend {self.backend!r} engines require the N_R vector")
-        if ref_id in self._locations:
-            self.remove_reference(ref_id)
-        aux = self.kernel.reference_aux(matrix) if self.kernel.needs_aux else None
-        self._locations[ref_id] = (None, self._builder.pending)
-        flushed = self._builder.add(ref_id, matrix, norms, aux)
-        if flushed is not None:
-            self._seal(flushed)
-        self.stats.references += 1
+        self._enrol(str(ref_id), matrix, norms)
 
     def export_records(self):
         """Serialize every live reference's *stored* matrix.

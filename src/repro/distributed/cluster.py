@@ -816,11 +816,7 @@ class DistributedSearchSystem:
             blob = self.store.get(f"feature:{ref_id}")
             if blob is None:
                 continue
-            record = deserialize_record(blob)
-            matrix = record.matrix.astype(np.float32)
-            if record.precision == "fp16" and record.scale != 1.0:
-                matrix = matrix / np.float32(record.scale)
-            router.add(ref_id, matrix, node_id)
+            router.add(ref_id, deserialize_record(blob).dequantized(), node_id)
         router.fit()
         self._router = router
         return router
@@ -930,9 +926,6 @@ class DistributedSearchSystem:
             return payload, spent_us + elapsed_us, retries
         return None, spent_us, retries
 
-    def _populated_nodes(self) -> list[SearchNode]:
-        return [node for node in self.nodes if node.n_references > 0]
-
     def _populated_groups(self) -> list[ReplicaGroup]:
         return [g for g in self.groups.values() if g.n_references > 0]
 
@@ -968,7 +961,7 @@ class DistributedSearchSystem:
             _UNSEARCHED.inc(len(unsearched))
             _PARTIALS.inc()
 
-    def _check_degradation(self, populated: list[SearchNode], unsearched: list[str]) -> None:
+    def _check_degradation(self, populated: list[ReplicaGroup], unsearched: list[str]) -> None:
         searched = len(populated) - len(unsearched)
         if populated and searched / len(populated) < self.min_shard_fraction:
             raise DegradedClusterError(searched, len(populated), self.min_shard_fraction)

@@ -138,10 +138,7 @@ class SearchNode:
         node can re-quantise to its own engine configuration; FP16
         records are dequantised first.
         """
-        matrix = record.matrix.astype(np.float32)
-        if record.precision == "fp16" and record.scale != 1.0:
-            matrix = matrix / np.float32(record.scale)
-        self.add(record.ref_id, matrix)
+        self.add(record.ref_id, record.dequantized())
 
     def remove(self, ref_id: str) -> bool:
         removed = self.engine.remove_reference(ref_id)
@@ -216,19 +213,20 @@ class SearchNode:
     def hydrate_from_store(self, store: KVStore, keys: list[str]) -> int:
         """Load serialized feature records from the KV store.
 
-        Tombstoned references (``tombstone:<ref_id>`` keys in the same
-        store) are skipped: a delete that raced this node's hydration
-        must never resurrect through an older feature blob.
+        References tombstoned in the same store are skipped: a delete
+        that raced this node's hydration must never resurrect through an
+        older feature blob.
         """
-        from .enrollment import TOMBSTONE_PREFIX
+        from .enrollment import TombstoneLog
 
+        tombstones = TombstoneLog(store)
         loaded = 0
         for key in keys:
             blob = store.get(key)
             if blob is None:
                 continue
             record = deserialize_record(blob)
-            if store.exists(f"{TOMBSTONE_PREFIX}{record.ref_id}"):
+            if tombstones.contains(record.ref_id):
                 continue
             self.add_record(record)
             loaded += 1
@@ -257,15 +255,16 @@ class SearchNode:
         in the same store) stay deleted — the snapshot replays to the
         latest epoch's view, not the snapshot's.
         """
-        from .enrollment import TOMBSTONE_PREFIX
+        from .enrollment import TombstoneLog
 
+        tombstones = TombstoneLog(store)
         prefix = prefix if prefix is not None else f"snapshot:{self.node_id}:"
         records = []
         for key in store.keys(f"{prefix}*"):
             blob = store.get(key)
             if blob is not None:
                 record = deserialize_record(blob)
-                if store.exists(f"{TOMBSTONE_PREFIX}{record.ref_id}"):
+                if tombstones.contains(record.ref_id):
                     continue
                 records.append(record)
         return self.engine.import_records(records)

@@ -37,6 +37,7 @@ Fig. 6 is reproduced as a deterministic, testable dispatch layer.
 from __future__ import annotations
 
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -112,18 +113,27 @@ class Router:
         return Response(404, {"error": f"no route for {request.path}"})
 
 
-def _parse_budget(body: dict) -> float | None:
-    """Optional per-request deadline budget (simulated µs) from the body."""
+def _parse_top(body: dict) -> int:
+    """How many ranked matches each query returns (``top``, default 1)."""
+    top = int(body.get("top", 1))
+    if not (1 <= top <= 100):
+        raise RestError(400, "'top' must be in [1, 100]")
+    return top
+
+
+def _parse_deadline(body: dict):
+    """The request's deadline scope: the optional per-request budget
+    (``budget_us``, simulated µs) from the body, or no deadline."""
     raw = body.get("budget_us")
     if raw is None:
-        return None
+        return nullcontext()
     try:
         budget_us = float(raw)
     except (TypeError, ValueError) as exc:
         raise RestError(400, f"'budget_us' must be a number, got {raw!r}") from exc
     if budget_us <= 0:
         raise RestError(400, f"'budget_us' must be > 0, got {budget_us}")
-    return budget_us
+    return deadline_scope(budget_us)
 
 
 def _parse_routing(body: dict) -> tuple[int | None, float | None]:
@@ -274,18 +284,11 @@ def build_api(system: DistributedSearchSystem) -> Router:
     @router.route("POST", "/search")
     def search(request: Request) -> Response:
         matrix = _parse_descriptors(request.body, d)
-        top = int(request.body.get("top", 1))
-        if not (1 <= top <= 100):
-            raise RestError(400, "'top' must be in [1, 100]")
-        budget_us = _parse_budget(request.body)
+        top = _parse_top(request.body)
+        deadline = _parse_deadline(request.body)
         nprobe, recall_target = _parse_routing(request.body)
         try:
-            if budget_us is not None:
-                with deadline_scope(budget_us):
-                    result = system.search(
-                        matrix, nprobe=nprobe, recall_target=recall_target
-                    )
-            else:
+            with deadline:
                 result = system.search(
                     matrix, nprobe=nprobe, recall_target=recall_target
                 )
@@ -325,21 +328,14 @@ def build_api(system: DistributedSearchSystem) -> Router:
             raise RestError(
                 400, f"at most {MAX_GROUP_SIZE} queries per batch, got {len(raw_queries)}"
             )
-        top = int(request.body.get("top", 1))
-        if not (1 <= top <= 100):
-            raise RestError(400, "'top' must be in [1, 100]")
-        budget_us = _parse_budget(request.body)
+        top = _parse_top(request.body)
+        deadline = _parse_deadline(request.body)
         nprobe, recall_target = _parse_routing(request.body)
         matrices = [
             _parse_descriptors({"descriptors": q}, d) for q in raw_queries
         ]
         try:
-            if budget_us is not None:
-                with deadline_scope(budget_us):
-                    group = system.search_group(
-                        matrices, nprobe=nprobe, recall_target=recall_target
-                    )
-            else:
+            with deadline:
                 group = system.search_group(
                     matrices, nprobe=nprobe, recall_target=recall_target
                 )

@@ -124,6 +124,14 @@ class FeatureRecord:
     def m(self) -> int:
         return self.matrix.shape[1]
 
+    def dequantized(self) -> np.ndarray:
+        """The FP32-domain ``(d, m)`` matrix: FP16 records are divided
+        by their ``scale`` after the cast."""
+        matrix = self.matrix.astype(np.float32)
+        if self.precision == "fp16" and self.scale != 1.0:
+            matrix = matrix / np.float32(self.scale)
+        return matrix
+
 
 def serialize_record(record: FeatureRecord) -> bytes:
     dtype = _DTYPES[record.precision]

@@ -17,7 +17,7 @@ class TestTable2Small:
             scales=[1.0, 2.0**-1, 2.0**-2, 2.0**-7, 2.0**-16],
             n_pairs=3,
             n_bricks=8,
-            with_accuracy=True,
+            quick=False,
         )
 
     def test_overflow_cells(self, result):
@@ -44,7 +44,7 @@ class TestTable2Small:
 
 class TestTable7Small:
     def test_speed_only_sweep(self):
-        result = table7_asymmetric.run(with_accuracy=False)
+        result = table7_asymmetric.run(quick=True)
         speeds = {(row[0], row[1]): row[3] for row in result.rows}
         assert speeds[(384, 768)] > speeds[(768, 768)]
         assert speeds[(384, 384)] > speeds[(384, 768)]
@@ -56,7 +56,7 @@ class TestTable7Small:
             grid=[(768, 768), (384, 768), (384, 384)],
             n_bricks=16,
             queries_per_brick=1,
-            with_accuracy=True,
+            quick=False,
         )
         acc = {
             (row[0], row[1]): float(row[2].rstrip("%")) for row in result.rows

@@ -65,6 +65,16 @@ class TestFeatureRecord:
         assert back.scale == record.scale
         np.testing.assert_array_equal(back.matrix, record.matrix)
 
+    @pytest.mark.parametrize("precision", ["fp16", "fp32"])
+    def test_dequantized_undoes_the_fp16_scale_only(self, precision):
+        record = self._record(precision, scale=0.25)
+        out = record.dequantized()
+        assert out.dtype == np.float32
+        expected = record.matrix.astype(np.float32)
+        if precision == "fp16":
+            expected = expected / np.float32(0.25)
+        np.testing.assert_array_equal(out, expected)
+
     def test_unicode_ids(self):
         record = FeatureRecord("普洱茶-砖-7", np.ones((2, 2), np.float16), "fp16", 1.0)
         back = deserialize_record(serialize_record(record))
